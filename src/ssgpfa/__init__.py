@@ -69,7 +69,7 @@ from .model import (
     score_online,
     train_series,
 )
-from .explain import Attribution, attribute, project_latents, reconstruction_error, scalar_nll
+from .explain import project_latents, reconstruction_error, scalar_nll
 from .metrics import (
     EvalReport,
     best_f1_sweep,
@@ -143,10 +143,8 @@ __all__ = [
     "default_multivariate_kernels",
     "DEFAULT_UNIVARIATE_KERNEL",
     "DEFAULT_MULTIVARIATE_LENGTHSCALES",
-    "Attribution",
     "project_latents",
     "scalar_nll",
-    "attribute",
     "reconstruction_error",
     "EvalReport",
     "standardize",

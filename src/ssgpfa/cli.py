@@ -32,7 +32,7 @@ from .errors import (
     ParameterError,
     SsgpfaError,
 )
-from .metrics import EvalReport, best_f1_sweep, range_adjusted_metrics, sweep_curve
+from .metrics import EvalReport, _label_runs, best_f1_sweep, range_adjusted_metrics, sweep_curve
 
 __all__ = ["main", "build_parser"]
 
@@ -410,25 +410,17 @@ def _generate(cfg: dict):
     return scenario, series
 
 
-def _anomaly_windows(labels) -> list:
-    if labels is None or not labels.any():
-        return []
-    padded = np.diff(np.concatenate(([0], labels.astype(np.int8), [0])))
-    starts = np.nonzero(padded == 1)[0]
-    stops = np.nonzero(padded == -1)[0]
-    return [[int(a), int(b)] for a, b in zip(starts, stops)]
-
-
 def cmd_synth(cfg: dict) -> int:
     output = _require(cfg, "output", "--output")
     scenario, series = _generate(cfg)
     data_mod.write_csv(series, output)
+    windows = [] if series.labels is None else _label_runs(series.labels.astype(bool))
     _emit({
         "output": str(output),
         "scenario": scenario,
         "length": series.length,
         "n_dims": series.n_dims,
-        "anomaly_windows": _anomaly_windows(series.labels),
+        "anomaly_windows": [[int(a), int(b)] for a, b in windows],
     })
     return 0
 

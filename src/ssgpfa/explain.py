@@ -17,25 +17,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import ParameterError
 
-__all__ = ["Attribution", "project_latents", "attribute"]
+__all__ = ["project_latents", "scalar_nll", "reconstruction_error"]
 
 _LOG_2PI = math.log(2.0 * math.pi)
-
-
-@dataclass(frozen=True, eq=False)
-class Attribution:
-    """Latent-space view of one scored observation."""
-
-    projected_latents: np.ndarray
-    per_latent_nll: np.ndarray
-    reconstruction_error: float
 
 
 def project_latents(model, y: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
@@ -73,36 +62,6 @@ def scalar_nll(x: float, mean: float, var: float) -> float:
     if var <= 0.0 or not math.isfinite(var):
         return math.inf
     return 0.5 * (_LOG_2PI + math.log(var) + (x - mean) ** 2 / var)
-
-
-def attribute(model, points: Iterable[tuple]) -> Iterator[Attribution]:
-    """Attribute scored points to latents.
-
-    Parameters
-    ----------
-    model : SsgpfaModel
-        Trained model providing loadings and offset.
-    points : iterable of (y, latent_means, latent_vars[, mask])
-        Observation vector plus the per-latent one-step predictive
-        means and variances produced during the scoring pass.
-
-    Yields
-    ------
-    Attribution per point. ``per_latent_nll[k]`` is the negative log
-    density of the projected coordinate v_k under latent k's predictive
-    distribution; the latent with the largest value is the natural
-    culprit for an anomalous point.
-    """
-    C = model.loading
-    for point in points:
-        y, means, variances = point[0], np.asarray(point[1]), np.asarray(point[2])
-        mask = point[3] if len(point) > 3 else None
-        v = project_latents(model, y, mask)
-        nll = np.array([
-            scalar_nll(v[k], float(means[k]), float(variances[k]))
-            for k in range(C.shape[1])
-        ])
-        yield Attribution(v, nll, reconstruction_error(model, y, v, mask))
 
 
 def reconstruction_error(model, y: np.ndarray, v: np.ndarray,

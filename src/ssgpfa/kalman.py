@@ -15,11 +15,26 @@ observation, predicts, and conditionally updates:
 The covariance update uses the Joseph form throughout, and every
 computed covariance is symmetrized.
 
-The robust variant gates each update on the predictive likelihood of
-the incoming point: points whose joint log-likelihood falls at or below
-``log(rho)`` are scored but not absorbed into the state, so outliers
-cannot drag the posterior. The elapsed time for the next transition
-always refers back to the most recently *accepted* point.
+Every filtering pass in the package, training and scoring alike, runs
+through one gated loop, ``_filter_steps``. It owns the timestamp check,
+the accepted-time anchor, the transition caches, predict, update and
+the step log-likelihood, and the robust gate. The loop carries its
+state as a list of blocks in one of two layouts:
+
+``stacked``
+    One block whose observation model reads the raw row; used by
+    :func:`robust_filter` and by the joint latent-factor filter.
+
+``per-latent``
+    One block per latent of an orthogonal factor model, each observing
+    its projected pseudo-observation u_k = c_k^T (y - d). Valid only on
+    fully observed rows: the first partially observed row merges the
+    blocks into the stacked layout for the rest of the pass.
+
+The robust gate scores each point on its predictive likelihood and
+absorbs it only above ``log(rho)``, jointly or per dimension, so
+outliers cannot drag the posterior. The elapsed time for the next
+transition always refers back to the most recently *accepted* point.
 
 Missing values are handled by row-masking the observation model: only
 the observed rows of H, R and the offset participate in an update. A
@@ -29,14 +44,15 @@ fully missing observation leaves the state untouched.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Iterator, Sequence
+from dataclasses import dataclass, field
+from functools import reduce
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import block_diag, solve_triangular
 
 from .errors import InputError, NumericalError, ParameterError
-from .kernels import DiscretizedTransition, StateSpaceKernel, discretize
+from .kernels import DiscretizedTransition, StateSpaceKernel, add, discretize
 
 __all__ = [
     "GaussianState",
@@ -271,6 +287,134 @@ def _initial_state(kernel: StateSpaceKernel) -> GaussianState:
     return GaussianState(np.zeros(kernel.state_dim), kernel.initial_cov.copy(), None)
 
 
+def _log_threshold(rho: float, log_rho: float | None) -> float:
+    """The gate threshold log(rho); ``log_rho`` overrides ``rho`` when given."""
+    if log_rho is not None:
+        return float(log_rho)
+    rho = float(rho)
+    if not math.isfinite(rho) or rho <= 0.0:
+        raise ParameterError(f"rho must be a positive finite likelihood, got {rho!r}")
+    return math.log(rho)
+
+
+class _Step(NamedTuple):
+    """One row of :func:`_filter_steps`; the state lists hold one entry
+    per block."""
+
+    timestamp: float
+    y: np.ndarray
+    observed: np.ndarray
+    predicted: list
+    updated: list
+    transitions: list | None
+    log_likelihood: float
+    marginals: np.ndarray | None
+    accepted: bool
+
+
+def _filter_steps(rows: Iterable, kernels: Sequence[StateSpaceKernel],
+                  obs: LinearObservationModel, *, log_rho: float | None = None,
+                  gate: str | None = None,
+                  loading: np.ndarray | None = None) -> Iterator[_Step]:
+    """The gated filter loop behind every filtering pass.
+
+    ``rows`` yields ``(timestamp, y, observed)`` with ``observed`` True
+    where ``y`` holds a usable value. Without ``loading`` the layout is
+    stacked: one block with dynamics ``kernels[0]``, observed through
+    ``obs``. With an orthonormal ``loading`` C each kernel is a
+    per-latent block observing u_k = c_k^T (y - d) with noise sigma^2 on
+    fully observed rows; the residual outside span(C) adds its own
+    Gaussian term to the step log-likelihood. ``obs`` must then be the
+    stacked model of the blocks (emission rows C[:, k] h_k^T, isotropic
+    noise sigma^2, offset d): the first partially observed row merges
+    the blocks into the stacked layout (block-diagonal state, summed
+    kernel) for the rest of the pass.
+
+    ``gate`` is None (absorb every row), ``"joint"`` (absorb when the
+    joint log-likelihood exceeds ``log_rho``) or ``"per_dim"`` (stacked
+    layout only: re-update on the dimensions whose marginal
+    log-likelihood exceeds ``log_rho``; the row counts as accepted when
+    any is kept). A fully missing row is scored NaN, counts as accepted
+    and leaves the state and the accepted-time anchor untouched.
+
+    Each step carries the per-dimension marginal log-likelihoods (NaN
+    where missing), except on per-latent rows, which have no
+    per-dimension innovation: there ``marginals`` is None.
+    """
+    blocks = list(kernels)
+    states = [_initial_state(k) for k in blocks]
+    caches = [TransitionCache(k) for k in blocks]
+    D = obs.n_outputs
+    if loading is not None:
+        sigma2 = float(obs.R[0])
+        block_obs = [univariate_observation_model(k, sigma2) for k in blocks]
+        perp_dims = D - loading.shape[1]
+    anchor = None  # timestamp of the most recent accepted observation
+    prev_t = None
+
+    for i, (t, y, observed) in enumerate(rows):
+        if prev_t is not None and not t > prev_t:
+            raise InputError(
+                f"timestamps must be strictly increasing (index {i}: {t!r} after {prev_t!r})"
+            )
+        prev_t = t
+        n_obs = np.count_nonzero(observed)
+        if loading is not None and 0 < n_obs < D:
+            merged = reduce(add, blocks)
+            states = [GaussianState(np.concatenate([s.mean for s in states]),
+                                    block_diag(*[s.cov for s in states]), anchor)]
+            blocks, caches, loading = [merged], [TransitionCache(merged)], None
+
+        if anchor is None:
+            transitions = None
+            predicted = states
+        else:
+            transitions = [cache.get(t - anchor) for cache in caches]
+            predicted = [predict(s, tr) for s, tr in zip(states, transitions)]
+
+        if not n_obs:
+            yield _Step(t, y, observed, predicted, predicted, transitions, float("nan"),
+                        np.full(D, np.nan), True)
+            continue
+
+        try:
+            if loading is None:
+                candidate, v, S = update(predicted[0], y, obs, observed)
+                marginals = np.full(D, np.nan)
+                joint, marginals[observed] = observation_log_likelihood(v, S)
+                candidates = [candidate]
+            else:
+                r = y - obs.offset
+                u = loading.T @ r
+                candidates = []
+                lls = []
+                for k, pred in enumerate(predicted):
+                    candidate, v, S = update(pred, u[k:k + 1], block_obs[k])
+                    candidates.append(candidate)
+                    lls.append(observation_log_likelihood(v, S)[0])
+                joint = sum(lls)
+                if perp_dims:
+                    perp_sq = max(float(r @ r - u @ u), 0.0)
+                    joint += -0.5 * (perp_dims * (_LOG_2PI + math.log(sigma2))
+                                     + perp_sq / sigma2)
+                marginals = None
+            if gate == "per_dim":
+                keep = observed & (marginals > log_rho)
+                accepted = bool(keep.any())
+                if accepted and not np.array_equal(keep, observed):
+                    candidates = [update(predicted[0], y, obs, keep)[0]]
+            else:
+                accepted = gate is None or joint > log_rho
+        except NumericalError as exc:
+            raise NumericalError(f"time index {i}: {exc}") from None
+
+        if accepted:
+            states = [GaussianState(c.mean, c.cov, t) for c in candidates]
+            anchor = t
+        yield _Step(t, y, observed, predicted, states if accepted else predicted, transitions,
+                    joint, marginals, accepted)
+
+
 def robust_filter(timestamps: Sequence[float], values: np.ndarray,
                   kernel: StateSpaceKernel, obs: LinearObservationModel, *,
                   rho: float = 1e-12, log_rho: float | None = None,
@@ -304,13 +448,7 @@ def robust_filter(timestamps: Sequence[float], values: np.ndarray,
     stream length. Fully missing observations are scored as NaN, leave
     the state untouched and do not advance the accepted-time anchor.
     """
-    if log_rho is None:
-        rho = float(rho)
-        if not math.isfinite(rho) or rho <= 0.0:
-            raise ParameterError(f"rho must be a positive finite likelihood, got {rho!r}")
-        log_rho = math.log(rho)
-    else:
-        log_rho = float(log_rho)
+    log_rho = _log_threshold(rho, log_rho)
     values = np.asarray(values, dtype=float)
     if values.ndim == 1:
         values = values[None, :]
@@ -319,54 +457,19 @@ def robust_filter(timestamps: Sequence[float], values: np.ndarray,
         raise ParameterError(
             f"values must have {D} rows to match the observation model, got {values.shape[0]}"
         )
+    observed = map(np.isfinite, values.T)
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != values.shape:
             raise ParameterError("mask shape must match values shape")
+        observed = map(np.logical_and, mask.T, observed)
 
-    state = _initial_state(kernel)
-    anchor = None  # timestamp of the most recent accepted observation
-    prev_t = None
-    cache = TransitionCache(kernel)
-
-    for i, t in enumerate(timestamps):
-        t = float(t)
-        if prev_t is not None and not t > prev_t:
-            raise InputError(
-                f"timestamps must be strictly increasing (index {i}: {t!r} after {prev_t!r})"
-            )
-        prev_t = t
-
-        if anchor is None:
-            transition = None
-            predicted = state
-        else:
-            transition = cache.get(t - anchor)
-            predicted = predict(state, transition)
-
-        y = values[:, i]
-        row_mask = np.isfinite(y) if mask is None else (mask[:, i] & np.isfinite(y))
-        try:
-            candidate, v, S = update(predicted, y, obs, row_mask)
-            joint, marg = observation_log_likelihood(v, S)
-        except NumericalError as exc:
-            raise NumericalError(f"time index {i}: {exc}") from None
-
-        marginals = np.full(D, np.nan)
-        marginals[row_mask] = marg
-
-        if not row_mask.any():
-            yield FilterStepResult(t, predicted, predicted, joint, marginals, True, transition)
-            continue
-
-        accepted = (not robust) or (joint > log_rho)
-        if accepted:
-            state = replace(candidate, last_accepted_time=t)
-            anchor = t
-            updated = state
-        else:
-            updated = predicted
-        yield FilterStepResult(t, predicted, updated, joint, marginals, accepted, transition)
+    rows = zip(map(float, timestamps), values.T, observed)
+    for step in _filter_steps(rows, (kernel,), obs, log_rho=log_rho,
+                              gate="joint" if robust else None):
+        yield FilterStepResult(step.timestamp, step.predicted[0], step.updated[0],
+                               step.log_likelihood, step.marginals, step.accepted,
+                               None if step.transitions is None else step.transitions[0])
 
 
 def rts_smooth(filtered: Sequence[GaussianState],

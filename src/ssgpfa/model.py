@@ -11,14 +11,20 @@ supported:
 
 ``orthogonal``
     C is kept orthonormal (C^T C = I) and the noise isotropic
-    (Psi = sigma^2 I). The posterior over latents then factorizes, so
-    the E-step runs K small independent filters against the projected
-    pseudo-observations u_t = C^T (y_t - d), and per-latent anomaly
-    attribution is exact.
+    (Psi = sigma^2 I). On fully observed rows the posterior over latents
+    then factorizes, so inference runs K small per-latent filter blocks
+    against the projected pseudo-observations u_t = C^T (y_t - d), and
+    per-latent anomaly attribution is exact. Partially observed rows
+    couple the latents; from the first one on, inference runs the
+    stacked filter below.
 
 ``unconstrained``
-    C and diagonal Psi are free; inference runs one joint filter whose
-    state stacks all latents.
+    C and diagonal Psi are free; inference runs one stacked filter whose
+    state holds all latents.
+
+Both layouts run through the one filter loop of :mod:`ssgpfa.kalman`;
+the E-step stores its filtered states for RTS smoothing and online
+scoring turns each step into a :class:`ScoredPoint`.
 
 Training is EM with closed-form M-step updates; kernel hyperparameters
 stay fixed during EM. Univariate series skip EM entirely and fit kernel
@@ -38,6 +44,7 @@ import math
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import reduce
+from itertools import repeat
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -48,12 +55,11 @@ from .kalman import (
     GaussianState,
     LinearObservationModel,
     TransitionCache,
-    observation_log_likelihood,
-    predict,
+    _filter_steps,
+    _log_threshold,
     robust_filter,
     rts_smooth,
     univariate_observation_model,
-    update,
 )
 from .kernels import StateSpaceKernel, add, discretize, matern32, parse_kernel
 
@@ -152,6 +158,8 @@ class SsgpfaModel:
                 raise ConfigError(
                     f"orthogonal mode requires orthonormal loadings (||C^T C - I|| = {gram_gap:.2e})"
                 )
+            if not np.all(noise == noise[0]):
+                raise ConfigError("orthogonal mode requires isotropic noise (equal variances)")
         for name in ("input_mean", "input_std"):
             v = getattr(self, name)
             if v is not None:
@@ -188,7 +196,8 @@ class LatentPosterior:
     """Smoothed posterior over the latent values.
 
     ``means[t]`` and ``covs[t]`` describe z_t given the whole series;
-    in orthogonal mode ``covs`` is diagonal by construction. ``used``
+    ``covs`` is diagonal by construction only for orthogonal models on
+    data without partially observed rows. ``used``
     flags the time steps that were absorbed (robust training may skip
     some). ``latent_states`` holds the full smoothed state per latent.
     """
@@ -245,15 +254,7 @@ def assemble_joint(model: SsgpfaModel):
 def _chain_transitions(kernel: StateSpaceKernel, timestamps: np.ndarray):
     """Consecutive-step transitions with caching for repeated gaps."""
     cache = TransitionCache(kernel)
-    out = []
-    for j in range(1, len(timestamps)):
-        dt = float(timestamps[j] - timestamps[j - 1])
-        if dt <= 0.0:
-            raise InputError(
-                f"timestamps must be strictly increasing (index {j})"
-            )
-        out.append(cache.get(dt))
-    return out
+    return [cache.get(dt) for dt in np.diff(timestamps).tolist()]
 
 
 def _as_time_array(timestamps, T: int) -> np.ndarray:
@@ -277,17 +278,14 @@ def e_step(model: SsgpfaModel, values: np.ndarray, timestamps, mask=None,
            robust_log_rho: float | None = None) -> LatentPosterior:
     """Smoothed latent posterior given the observations.
 
-    Orthogonal mode runs K independent per-latent filters and smoothers
-    against the projected pseudo-observations (exact thanks to the
-    orthonormal loadings and isotropic noise); unconstrained mode runs
-    the joint filter. ``robust_log_rho`` enables the robust gate during
-    training: points whose predictive log-likelihood falls at or below
-    it are not absorbed and are excluded from ``used``.
-
-    Rows with some (but not all) dimensions missing are handled exactly
-    per latent in orthogonal mode, but the joint likelihood bookkeeping
-    for such rows treats latents independently, which is an
-    approximation; the unconstrained path is exact under missingness.
+    When every row is fully observed or fully missing, orthogonal mode
+    filters and smooths K independent per-latent blocks against the
+    projected pseudo-observations (exact thanks to the orthonormal
+    loadings and isotropic noise). Otherwise, and in unconstrained mode,
+    one stacked filter runs over all latents, keeping the cross-covariances
+    that partially observed rows create. ``robust_log_rho`` enables the
+    robust gate during training: points whose predictive log-likelihood
+    falls at or below it are not absorbed and are excluded from ``used``.
     """
     values = np.atleast_2d(np.asarray(values, dtype=float))
     D, T = values.shape
@@ -295,156 +293,47 @@ def e_step(model: SsgpfaModel, values: np.ndarray, timestamps, mask=None,
         raise ConfigError(f"model expects {model.n_dims} dimensions, data has {D}")
     t_arr = _as_time_array(timestamps, T)
     mask = _normalize_mask(values, mask)
-    if model.mode == "orthogonal":
-        return _e_step_parallel(model, values, t_arr, mask, robust_log_rho)
-    return _e_step_joint(model, values, t_arr, mask, robust_log_rho)
-
-
-def _e_step_parallel(model, values, timestamps, mask, robust_log_rho):
-    D, T = values.shape
     K = model.n_latents
-    C, d, sigma2 = model.loading, model.offset, model.sigma2
+    kernel, obs, slices = assemble_joint(model)
+    partial = (mask.any(axis=0) & ~mask.all(axis=0)).any()
+    if model.mode == "orthogonal" and not partial:
+        blocks, groups, loading = model.kernels, _per_latent_groups(K), model.loading
+    else:
+        blocks, groups, loading = (kernel,), [list(enumerate(slices))], None
 
-    chain = [_chain_transitions(k, timestamps) for k in model.kernels]
-    states = [GaussianState(np.zeros(k.state_dim), k.initial_cov.copy()) for k in model.kernels]
-    scalar_obs = [univariate_observation_model(k, sigma2) for k in model.kernels]
-    emissions = [k.emission for k in model.kernels]
-
-    stored = [[] for _ in range(K)]
+    filtered = [[] for _ in blocks]
     used = np.zeros(T, dtype=bool)
     total_ll = 0.0
-
-    for i in range(T):
-        if i > 0:
-            predicted = [predict(states[k], chain[k][i - 1]) for k in range(K)]
-        else:
-            predicted = states
-        y = values[:, i]
-        row = mask[:, i]
-        if not row.any():
-            states = predicted
-            for k in range(K):
-                stored[k].append(predicted[k])
-            continue
-
-        mu_hat = np.array([emissions[k] @ predicted[k].mean for k in range(K)])
-        s_pred = np.array([emissions[k] @ predicted[k].cov @ emissions[k] for k in range(K)])
-
-        try:
-            if row.all():
-                r = y - d
-                u = C.T @ r
-                candidates = []
-                lls = []
-                for k in range(K):
-                    cand, v, S = update(predicted[k], u[k:k + 1], scalar_obs[k])
-                    ll_k, _ = observation_log_likelihood(v, S)
-                    candidates.append(cand)
-                    lls.append(ll_k)
-                if D == K:
-                    perp = 0.0
-                else:
-                    perp_sq = max(float(r @ r - u @ u), 0.0)
-                    perp = -0.5 * ((D - K) * (_LOG_2PI + math.log(sigma2)) + perp_sq / sigma2)
-                step_ll = sum(lls) + perp
-            else:
-                r_obs = (y - d)[row]
-                C_obs = C[row]
-                candidates = []
-                for k in range(K):
-                    c = C_obs[:, k]
-                    n2 = float(c @ c)
-                    if n2 <= 0.0:
-                        candidates.append(predicted[k])
-                        continue
-                    pseudo = np.array([float(c @ r_obs) / n2])
-                    obs_k = LinearObservationModel(
-                        H=emissions[k][None, :], R=np.array([sigma2 / n2]), offset=np.zeros(1))
-                    cand, _, _ = update(predicted[k], pseudo, obs_k)
-                    candidates.append(cand)
-                step_ll = _low_rank_gauss_loglik(
-                    y[row], C_obs @ mu_hat + d[row], C_obs, s_pred, sigma2)
-        except NumericalError as exc:
-            raise NumericalError(f"time index {i}: {exc}") from None
-
-        total_ll += step_ll
-        accept = robust_log_rho is None or step_ll > robust_log_rho
-        used[i] = accept
-        states = candidates if accept else predicted
-        for k in range(K):
-            stored[k].append(states[k])
+    steps = _filter_steps(zip(t_arr.tolist(), values.T, mask.T), blocks, obs,
+                          log_rho=robust_log_rho,
+                          gate=None if robust_log_rho is None else "joint", loading=loading)
+    for i, step in enumerate(steps):
+        for store, state in zip(filtered, step.updated):
+            store.append(state)
+        if np.count_nonzero(step.observed):
+            total_ll += step.log_likelihood
+            used[i] = step.accepted
 
     means = np.zeros((T, K))
     covs = np.zeros((T, K, K))
-    latent_states = []
-    for k in range(K):
-        try:
-            smoothed = rts_smooth(stored[k], chain[k])
-        except NumericalError as exc:
-            raise NumericalError(f"latent {k}: {exc}") from None
-        h = emissions[k]
-        for t, st in enumerate(smoothed):
-            means[t, k] = h @ st.mean
-            covs[t, k, k] = h @ st.cov @ h
-        latent_states.append(tuple(smoothed))
+    emissions = [k.emission for k in model.kernels]
+    latent_states = [()] * K
+    for block, group, store in zip(blocks, groups, filtered):
+        smoothed = rts_smooth(store, _chain_transitions(block, t_arr))
+        for j, sj in group:
+            h = emissions[j]
+            means[:, j] = [h @ st.mean[sj] for st in smoothed]
+            for k, sk in group:
+                covs[:, j, k] = [h @ st.cov[sj, sk] @ emissions[k] for st in smoothed]
+            latent_states[j] = tuple(smoothed) if len(group) == 1 else tuple(
+                GaussianState(st.mean[sj], st.cov[sj, sj]) for st in smoothed)
     return LatentPosterior(means, covs, float(total_ll), used, tuple(latent_states))
 
 
-def _low_rank_gauss_loglik(y_obs, mean_obs, C_obs, latent_vars, sigma2):
-    """log N(y; mean, C diag(latent_vars) C^T + sigma2 I) over observed dims."""
-    cov = C_obs @ (latent_vars[:, None] * C_obs.T) + sigma2 * np.eye(len(y_obs))
-    resid = y_obs - mean_obs
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        raise NumericalError("predictive covariance is not positive definite") from None
-    alpha = np.linalg.solve(chol, resid)
-    return float(-0.5 * len(y_obs) * _LOG_2PI - np.log(np.diag(chol)).sum()
-                 - 0.5 * alpha @ alpha)
-
-
-def _e_step_joint(model, values, timestamps, mask, robust_log_rho):
-    T = values.shape[1]
-    K = model.n_latents
-    kernel, obs, slices = assemble_joint(model)
-    chain = _chain_transitions(kernel, timestamps)
-
-    state = GaussianState(np.zeros(kernel.state_dim), kernel.initial_cov.copy())
-    filtered = []
-    used = np.zeros(T, dtype=bool)
-    total_ll = 0.0
-    for i in range(T):
-        predicted = predict(state, chain[i - 1]) if i > 0 else state
-        row = mask[:, i]
-        if not row.any():
-            state = predicted
-            filtered.append(predicted)
-            continue
-        try:
-            candidate, v, S = update(predicted, values[:, i], obs, row)
-            step_ll, _ = observation_log_likelihood(v, S)
-        except NumericalError as exc:
-            raise NumericalError(f"time index {i}: {exc}") from None
-        total_ll += step_ll
-        accept = robust_log_rho is None or step_ll > robust_log_rho
-        used[i] = accept
-        state = candidate if accept else predicted
-        filtered.append(state)
-    smoothed = rts_smooth(filtered, chain)
-
-    means = np.zeros((T, K))
-    covs = np.zeros((T, K, K))
-    latent_states = [[] for _ in range(K)]
-    emissions = [k.emission for k in model.kernels]
-    for t, st in enumerate(smoothed):
-        for j in range(K):
-            mj, sj = emissions[j], slices[j]
-            means[t, j] = mj @ st.mean[sj]
-            latent_states[j].append(GaussianState(
-                st.mean[sj].copy(), st.cov[sj, sj].copy()))
-            for k in range(K):
-                covs[t, j, k] = mj @ st.cov[sj, slices[k]] @ emissions[k]
-    return LatentPosterior(means, covs, float(total_ll), used, tuple(map(tuple, latent_states)))
+def _per_latent_groups(n_latents: int) -> list:
+    """The (latent, state slice) pairs of each block in the per-latent
+    layout: block k holds latent k alone."""
+    return [[(k, slice(None))] for k in range(n_latents)]
 
 
 def m_step(posterior: LatentPosterior, values: np.ndarray, mask=None):
@@ -687,55 +576,45 @@ def score_online(model: SsgpfaModel, stream, *, rho: float = 1e-12,
     when present. The robust gate absorbs a point only if its joint
     predictive log-likelihood exceeds log(rho); ``robust_scope="per_dim"``
     instead masks individual dimensions that fall below the threshold
-    (running the joint filter). Yields one :class:`ScoredPoint` per row
-    in a single streaming pass with O(1) memory.
+    (running the stacked filter). Orthogonal models otherwise filter
+    per latent until the first partially observed row and stacked from
+    there on. Yields one :class:`ScoredPoint` per row in a single
+    streaming pass with O(1) memory.
     """
-    if log_rho is None:
-        rho = float(rho)
-        if not math.isfinite(rho) or rho <= 0.0:
-            raise ParameterError(f"rho must be a positive finite likelihood, got {rho!r}")
-        log_rho = math.log(rho)
+    log_rho = _log_threshold(rho, log_rho)
     if robust_scope not in ("joint", "per_dim"):
         raise ConfigError(f"unknown robust scope {robust_scope!r}")
-    rows = _as_row_iter(stream)
-    if model.mode == "orthogonal" and robust_scope == "joint":
-        return _score_parallel(model, rows, log_rho, robust)
-    return _score_joint(model, rows, log_rho, robust, robust_scope)
+    gate = robust_scope if robust else None
+    kernel, obs, slices = assemble_joint(model)
+    if model.mode == "orthogonal" and gate != "per_dim":
+        blocks, loading = model.kernels, model.loading
+    else:
+        blocks, loading = (kernel,), None
+    steps = _filter_steps(_stream_rows(model, stream), blocks, obs, log_rho=log_rho,
+                          gate=gate, loading=loading)
+    return _scored_points(model, slices, steps)
 
 
-def _as_row_iter(stream):
+def _stream_rows(model: SsgpfaModel, stream):
+    """``(timestamp, y, observed)`` per stream row, with ``y``
+    standardized by the model's stored mean/std when present."""
     if hasattr(stream, "timestamps") and hasattr(stream, "values"):
         mask = getattr(stream, "mask", None)
-
-        def gen():
-            for i, t in enumerate(stream.timestamps):
-                yield float(t), np.asarray(stream.values)[:, i], \
-                    None if mask is None else np.asarray(mask)[:, i]
-        return gen()
-
-    def gen_rows():
-        for row in stream:
-            if len(row) == 2:
-                t, y = row
-                m = None
-            else:
-                t, y, m = row[0], row[1], row[2]
-            yield float(t), np.atleast_1d(np.asarray(y, dtype=float)), m
-    return gen_rows()
-
-
-def _standardize_row(model, y):
-    if model.input_mean is None:
-        return y
-    return (y - model.input_mean) / model.input_std
-
-
-def _check_row(model, y, i):
-    if y.shape != (model.n_dims,):
-        raise ConfigError(
-            f"row {i} has {y.shape[0] if y.ndim == 1 else y.shape} values, "
-            f"model expects {model.n_dims}"
-        )
+        rows = zip(stream.timestamps, np.asarray(stream.values, dtype=float).T,
+                   repeat(None) if mask is None else np.asarray(mask).T)
+    else:
+        rows = ((row[0], np.atleast_1d(np.asarray(row[1], dtype=float)),
+                 None if len(row) == 2 else row[2]) for row in stream)
+    for i, (t, y, m) in enumerate(rows):
+        if y.shape != (model.n_dims,):
+            raise ConfigError(
+                f"row {i} has {y.shape[0] if y.ndim == 1 else y.shape} values, "
+                f"model expects {model.n_dims}"
+            )
+        if model.input_mean is not None:
+            y = (y - model.input_mean) / model.input_std
+        finite = np.isfinite(y)
+        yield float(t), y, finite if m is None else np.asarray(m, dtype=bool) & finite
 
 
 def _projected_noise_vars(C_obs: np.ndarray, psi_obs: np.ndarray) -> np.ndarray:
@@ -756,186 +635,48 @@ def _projected_noise_vars(C_obs: np.ndarray, psi_obs: np.ndarray) -> np.ndarray:
     return np.einsum("kd,d,kd->k", M, psi_obs, M)
 
 
-def _score_parallel(model, rows, log_rho, robust):
-    D, K = model.n_dims, model.n_latents
-    C, d, sigma2 = model.loading, model.offset, model.sigma2
-    kernels = model.kernels
-    emissions = [k.emission for k in kernels]
-    scalar_obs = [univariate_observation_model(k, sigma2) for k in kernels]
-    states = [GaussianState(np.zeros(k.state_dim), k.initial_cov.copy()) for k in kernels]
-    caches = [TransitionCache(k) for k in kernels]
-    anchor = None
-    prev_t = None
-    bitwise_univariate = (D == 1 and K == 1)
-
-    for i, (t, y_raw, row_mask) in enumerate(rows):
-        if prev_t is not None and not t > prev_t:
-            raise InputError(f"timestamps must be strictly increasing (index {i})")
-        prev_t = t
-        _check_row(model, y_raw, i)
-        y = _standardize_row(model, y_raw)
-        row = np.isfinite(y) if row_mask is None else (np.asarray(row_mask, bool) & np.isfinite(y))
-
-        if anchor is None:
-            predicted = states
-        else:
-            dt = t - anchor
-            predicted = [predict(states[k], caches[k].get(dt)) for k in range(K)]
-
-        if not row.any():
-            nan_k = np.full(K, np.nan)
-            yield ScoredPoint(t, float("nan"), np.full(D, np.nan), True, nan_k, float("nan"))
-            continue
-
-        mu_hat = np.array([emissions[k] @ predicted[k].mean for k in range(K)])
-        s_pred = np.array([emissions[k] @ predicted[k].cov @ emissions[k] for k in range(K)])
-
-        try:
-            if row.all():
-                r = y - d
-                u = C.T @ r
-                candidates = []
-                lls = []
-                marg1 = None
-                for k in range(K):
-                    cand, v, S = update(predicted[k], u[k:k + 1], scalar_obs[k])
-                    ll_k, marg_k = observation_log_likelihood(v, S)
-                    candidates.append(cand)
-                    lls.append(ll_k)
-                    marg1 = marg_k
-                if bitwise_univariate:
-                    joint = lls[0]
-                    marginals = marg1.copy()
-                else:
-                    if D == K:
-                        perp = 0.0
-                    else:
-                        perp_sq = max(float(r @ r - u @ u), 0.0)
-                        perp = -0.5 * ((D - K) * (_LOG_2PI + math.log(sigma2))
-                                       + perp_sq / sigma2)
-                    joint = sum(lls) + perp
-                    mean_y = C @ mu_hat + d
-                    var_y = (C ** 2) @ s_pred + sigma2
-                    marginals = -0.5 * (_LOG_2PI + np.log(var_y) + (y - mean_y) ** 2 / var_y)
-                v_proj = u
-            else:
-                r_obs = (y - d)[row]
-                C_obs = C[row]
-                candidates = []
-                for k in range(K):
-                    c = C_obs[:, k]
-                    n2 = float(c @ c)
-                    if n2 <= 0.0:
-                        candidates.append(predicted[k])
-                        continue
-                    pseudo = np.array([float(c @ r_obs) / n2])
-                    obs_k = LinearObservationModel(
-                        H=emissions[k][None, :], R=np.array([sigma2 / n2]), offset=np.zeros(1))
-                    cand, _, _ = update(predicted[k], pseudo, obs_k)
-                    candidates.append(cand)
-                joint = _low_rank_gauss_loglik(
-                    y[row], C_obs @ mu_hat + d[row], C_obs, s_pred, sigma2)
-                marginals = np.full(D, np.nan)
-                mean_y = C[row] @ mu_hat + d[row]
-                var_y = (C[row] ** 2) @ s_pred + sigma2
-                marginals[row] = -0.5 * (_LOG_2PI + np.log(var_y)
-                                         + (y[row] - mean_y) ** 2 / var_y)
-                v_proj, *_ = np.linalg.lstsq(C_obs, r_obs, rcond=None)
-        except NumericalError as exc:
-            raise NumericalError(f"time index {i}: {exc}") from None
-
-        if row.all():
-            noise_vars = np.full(K, sigma2)  # orthonormal C: G = I
-        else:
-            noise_vars = _projected_noise_vars(C[row], np.full(int(row.sum()), sigma2))
-        full_marginals = marginals if marginals.shape == (D,) else _expand(marginals, row, D)
-        latent_nlls = np.array([
-            explain.scalar_nll(float(v_proj[k]), float(mu_hat[k]),
-                               float(s_pred[k] + noise_vars[k]))
-            for k in range(K)
-        ])
-        recon = explain.reconstruction_error(model, y, v_proj, row)
-
-        accepted = (not robust) or (joint > log_rho)
-        if accepted:
-            states = [replace(c, last_accepted_time=t) for c in candidates]
-            anchor = t
-        yield ScoredPoint(t, -joint, _neg(full_marginals), accepted, latent_nlls, recon)
-
-
-def _neg(a: np.ndarray) -> np.ndarray:
-    return -a
-
-
-def _expand(values, mask, D):
-    out = np.full(D, np.nan)
-    out[mask] = values
-    return out
-
-
-def _score_joint(model, rows, log_rho, robust, robust_scope):
-    D, K = model.n_dims, model.n_latents
-    kernel, obs, slices = assemble_joint(model)
+def _scored_points(model: SsgpfaModel, slices: list, steps) -> Iterator[ScoredPoint]:
+    """One :class:`ScoredPoint` per filter step, with its per-latent
+    attribution. ``slices`` are the latents' state slices in the stacked
+    layout; in the per-latent layout block k holds latent k alone."""
+    K = model.n_latents
+    C, d = model.loading, model.offset
+    C_sq = C ** 2
     emissions = [k.emission for k in model.kernels]
-    state = GaussianState(np.zeros(kernel.state_dim), kernel.initial_cov.copy())
-    cache = TransitionCache(kernel)
-    anchor = None
-    prev_t = None
-
-    for i, (t, y_raw, row_mask) in enumerate(rows):
-        if prev_t is not None and not t > prev_t:
-            raise InputError(f"timestamps must be strictly increasing (index {i})")
-        prev_t = t
-        _check_row(model, y_raw, i)
-        y = _standardize_row(model, y_raw)
-        row = np.isfinite(y) if row_mask is None else (np.asarray(row_mask, bool) & np.isfinite(y))
-
-        if anchor is None:
-            predicted = state
-        else:
-            predicted = predict(state, cache.get(t - anchor))
-
-        if not row.any():
-            yield ScoredPoint(t, float("nan"), np.full(D, np.nan), True,
+    per_latent = _per_latent_groups(K)
+    stacked = [list(enumerate(slices))]
+    for step in steps:
+        y, row, marginals = step.y, step.observed, step.marginals
+        if marginals is not None and not row.any():
+            yield ScoredPoint(step.timestamp, float("nan"), np.full(model.n_dims, np.nan), True,
                               np.full(K, np.nan), float("nan"))
             continue
-
-        try:
-            candidate, v, S = update(predicted, y, obs, row)
-            joint, marg = observation_log_likelihood(v, S)
-        except NumericalError as exc:
-            raise NumericalError(f"time index {i}: {exc}") from None
-        marginals = _expand(marg, row, D)
-
-        if robust and robust_scope == "per_dim":
-            keep = row & (np.nan_to_num(marginals, nan=-np.inf) > log_rho)
-            accepted = bool(keep.any())
-            if accepted and not np.array_equal(keep, row):
-                try:
-                    candidate, _, _ = update(predicted, y, obs, keep)
-                except NumericalError as exc:
-                    raise NumericalError(f"time index {i}: {exc}") from None
+        mu_hat = np.empty(K)
+        s_pred = np.empty(K)
+        for group, st in zip(per_latent if marginals is None else stacked, step.predicted):
+            for k, sk in group:
+                h = emissions[k]
+                mu_hat[k] = h @ st.mean[sk]
+                s_pred[k] = h @ st.cov[sk, sk] @ h
+        if marginals is None:
+            # per-latent step, so a full row and orthonormal C (G = I):
+            # y_i ~ N((C mu + d)_i, (C^2 s)_i + sigma^2)
+            mean_y = C @ mu_hat + d
+            var_y = C_sq @ s_pred + model.noise
+            marginals = -0.5 * (_LOG_2PI + np.log(var_y) + (y - mean_y) ** 2 / var_y)
+            noise_vars = np.full(K, model.sigma2)
+            v_proj = C.T @ (y - d)
         else:
-            accepted = (not robust) or (joint > log_rho)
-
-        mu_hat = np.array([emissions[k] @ predicted.mean[slices[k]] for k in range(K)])
-        s_pred = np.array([
-            emissions[k] @ predicted.cov[slices[k], slices[k]] @ emissions[k]
-            for k in range(K)
-        ])
-        v_proj = explain.project_latents(model, y, row)
-        noise_vars = _projected_noise_vars(model.loading[row], model.noise[row])
+            noise_vars = _projected_noise_vars(C[row], model.noise[row])
+            v_proj = explain.project_latents(model, y, row)
         latent_nlls = np.array([
             explain.scalar_nll(float(v_proj[k]), float(mu_hat[k]),
                                float(s_pred[k] + noise_vars[k]))
             for k in range(K)
         ])
         recon = explain.reconstruction_error(model, y, v_proj, row)
-
-        if accepted:
-            state = replace(candidate, last_accepted_time=t)
-            anchor = t
-        yield ScoredPoint(t, -joint, _neg(marginals), accepted, latent_nlls, recon)
+        yield ScoredPoint(step.timestamp, -step.log_likelihood, -marginals, step.accepted,
+                          latent_nlls, recon)
 
 
 # --- univariate hyperparameter fitting ------------------------------------

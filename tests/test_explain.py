@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from ssgpfa import (
-    Attribution,
     ParameterError,
-    attribute,
     matern32,
     project_latents,
     reconstruction_error,
@@ -102,43 +100,3 @@ class TestReconstructionError:
     def test_nan_when_latents_unavailable(self):
         model = make_model(orthonormal(3, 2))
         assert math.isnan(reconstruction_error(model, np.zeros(3), np.full(2, np.nan)))
-
-
-class TestAttribute:
-    def test_culprit_latent_has_largest_nll(self):
-        C = orthonormal(5, 3, seed=4)
-        model = make_model(C)
-        means = np.zeros(3)
-        variances = np.full(3, 0.5)
-        v = np.array([0.1, 4.0, -0.2])  # latent 1 is far off its prediction
-        out = list(attribute(model, [(C @ v, means, variances)]))
-        assert len(out) == 1
-        att = out[0]
-        assert isinstance(att, Attribution)
-        np.testing.assert_allclose(att.projected_latents, v, atol=1e-12)
-        assert int(np.argmax(att.per_latent_nll)) == 1
-
-    def test_nll_matches_scalar_formula(self):
-        C = orthonormal(4, 2, seed=5)
-        model = make_model(C)
-        y = np.array([0.2, -0.4, 0.9, 0.1])
-        means = np.array([0.1, -0.3])
-        variances = np.array([0.4, 0.9])
-        att = next(attribute(model, [(y, means, variances)]))
-        v = C.T @ y
-        expected = [scalar_nll(v[k], means[k], variances[k]) for k in range(2)]
-        np.testing.assert_allclose(att.per_latent_nll, expected)
-
-    def test_generator_is_lazy(self):
-        model = make_model(orthonormal(3, 1))
-        calls = []
-
-        def stream():
-            for i in range(3):
-                calls.append(i)
-                yield (np.zeros(3), np.zeros(1), np.ones(1))
-
-        gen = attribute(model, stream())
-        assert calls == []
-        next(gen)
-        assert calls == [1] or calls == [0, 1] or len(calls) <= 2

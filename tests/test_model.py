@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +86,11 @@ class TestModelValidation:
         with pytest.raises(ParameterError):
             toy_model(orthonormal(3, 2), noise=0.0)
 
+    def test_orthogonal_mode_requires_isotropic_noise(self):
+        with pytest.raises(ConfigError, match="isotropic"):
+            toy_model(orthonormal(3, 2), noise=[0.1, 5.0, 9.0])
+        toy_model(orthonormal(3, 2), noise=[0.1, 5.0, 9.0], mode="unconstrained")
+
 
 class TestEStep:
     def test_parallel_matches_joint_filter(self):
@@ -118,6 +124,22 @@ class TestEStep:
         t, Y, C, d = toy_data()
         with pytest.raises(ConfigError):
             e_step(toy_model(orthonormal(4, 2)), Y, t)
+
+    @pytest.mark.parametrize("missing", [0.0, 0.1, 0.3])
+    def test_orthogonal_matches_joint_with_missing_entries(self, missing):
+        # partially observed rows couple the latents; the orthogonal model
+        # must still give the exact joint-filter likelihood and scores
+        t, Y, C, d = toy_data(D=6, K=3, T=200, seed=7)
+        Y = np.where(np.random.default_rng(8).random(Y.shape) < missing, np.nan, Y)
+        ortho = toy_model(C, offset=d)
+        joint = toy_model(C, offset=d, mode="unconstrained")
+        assert e_step(ortho, Y, t).log_likelihood == pytest.approx(
+            e_step(joint, Y, t).log_likelihood, rel=1e-9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # least-squares projection of the joint model
+            ref = [p.score for p in score_online(joint, zip(t, Y.T))]
+        scores = [p.score for p in score_online(ortho, zip(t, Y.T))]
+        np.testing.assert_allclose(scores, ref, rtol=1e-9)
 
     def test_partial_missing_rows_run(self):
         t, Y, C, d = toy_data(D=4, K=2, T=40, seed=6)
@@ -314,6 +336,18 @@ class TestScoreOnline:
         obs = univariate_observation_model(kernel, 0.15)
         lls = [s.log_likelihood for s in robust_filter(t, y, kernel, obs)]
         assert scores == [-ll for ll in lls]  # bitwise identical
+
+    @pytest.mark.parametrize("mode", ["orthogonal", "unconstrained"])
+    @pytest.mark.parametrize("missing", [0.0, 0.2])
+    def test_scores_sum_to_e_step_log_likelihood(self, mode, missing):
+        t, Y, C, d = toy_data(D=5, K=2, T=100, seed=30)
+        Y = np.where(np.random.default_rng(31).random(Y.shape) < missing, np.nan, Y)
+        model = toy_model(C, offset=d, mode=mode)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # least-squares projection of the joint model
+            scores = np.array([p.score for p in score_online(model, zip(t, Y.T), robust=False)])
+        total = -scores[np.isfinite(scores)].sum()
+        assert e_step(model, Y, t).log_likelihood == pytest.approx(total, rel=1e-10)
 
     def test_row_dimension_mismatch(self):
         model = toy_model(orthonormal(3, 2))
