@@ -33,8 +33,12 @@ Supported base kernels:
 
 Kernels combine under ``+`` (block stacking) and ``*`` (Kronecker sum of
 feedbacks, Kronecker product of emissions and stationary covariances;
-both operands must be stationary). ``parse_kernel`` reads the same
-algebra from strings such as
+both operands must be stationary). Every kernel is a node of an
+expression tree: a base kernel is a leaf carrying its named parameters,
+and a sum or product keeps its two operands. The tree is the only
+kernel representation. One printer renders it as the canonical
+``expression``, and ``parse_kernel`` reads the same algebra back from
+strings such as
 ``"brownian(diffusion=0.1) + matern32(lengthscale=50, variance=1) * cosine(period=24, variance=1)"``.
 """
 
@@ -43,7 +47,7 @@ from __future__ import annotations
 import ast
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 import scipy.linalg
@@ -108,10 +112,18 @@ class StateSpaceKernel:
         Prior state covariance at the start of a stream: P_inf for
         stationary kernels, the kernel's own start rule otherwise.
     params : dict
-        Named scalar parameters of a base kernel; empty for composites.
+        Named scalar parameters of a base kernel, in constructor order;
+        empty for composites.
+    kind : str
+        What the node is: the constructor name of a base kernel
+        (``"matern32"``, ``"cosine"``, ``"brownian"``), ``"+"`` for a
+        sum or ``"*"`` for a product.
+    parts : tuple or None
+        The two operands of a sum or product (for nonstationary sums
+        they drive the process-noise recursion); None for a base kernel.
     expression : str
-        Canonical expression that rebuilds the kernel via
-        :func:`parse_kernel`.
+        Canonical expression, printed from the tree, that rebuilds the
+        kernel via :func:`parse_kernel`.
     """
 
     state_dim: int
@@ -121,9 +133,7 @@ class StateSpaceKernel:
     stationary_cov: np.ndarray | None
     initial_cov: np.ndarray
     params: dict
-    expression: str
-    # Summands of an additive composite; drives process-noise recursion
-    # for nonstationary sums.
+    kind: str
     parts: tuple = field(default=None, repr=False)
     # Q(dt) rule for a nonstationary base kernel.
     noise_fn: Callable[[float], np.ndarray] | None = field(default=None, repr=False)
@@ -156,6 +166,24 @@ class StateSpaceKernel:
         if P0.shape != (L, L):
             raise ParameterError(f"initial covariance must be ({L}, {L}), got {P0.shape}")
         object.__setattr__(self, "initial_cov", P0)
+
+    @property
+    def expression(self) -> str:
+        """The one printer of kernel trees, in the grammar of :func:`parse_kernel`.
+
+        A sum inside a product is parenthesized, and so is a product on
+        the right of a product: reading ``a * b * c`` builds
+        ``(a * b) * c``, whose Kronecker factors round differently from
+        ``a * (b * c)``.
+        """
+        if self.parts is None:
+            args = ", ".join(f"{name}={value!r}" for name, value in self.params.items())
+            return f"{self.kind}({args})"
+        left, right = (part.expression for part in self.parts)
+        if self.kind == "*":
+            left = f"({left})" if self.parts[0].kind == "+" else left
+            right = f"({right})" if self.parts[1].parts is not None else right
+        return f"{left} {self.kind} {right}"
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"StateSpaceKernel({self.expression})"
@@ -195,7 +223,7 @@ def matern32(lengthscale: float, variance: float = 1.0) -> StateSpaceKernel:
         stationary_cov=P,
         initial_cov=P,
         params={"lengthscale": lengthscale, "variance": variance},
-        expression=f"matern32(lengthscale={lengthscale!r}, variance={variance!r})",
+        kind="matern32",
     )
 
 
@@ -220,7 +248,7 @@ def cosine(period: float, variance: float = 1.0) -> StateSpaceKernel:
         stationary_cov=P,
         initial_cov=P,
         params={"period": period, "variance": variance},
-        expression=f"cosine(period={period!r}, variance={variance!r})",
+        kind="cosine",
     )
 
 
@@ -240,7 +268,7 @@ def brownian(diffusion: float) -> StateSpaceKernel:
         stationary_cov=None,
         initial_cov=np.zeros((1, 1)),
         params={"diffusion": diffusion},
-        expression=f"brownian(diffusion={diffusion!r})",
+        kind="brownian",
         noise_fn=lambda dt, q=diffusion: np.array([[q * dt]]),
     )
 
@@ -259,7 +287,7 @@ def add(k1: StateSpaceKernel, k2: StateSpaceKernel) -> StateSpaceKernel:
         stationary_cov=P,
         initial_cov=scipy.linalg.block_diag(k1.initial_cov, k2.initial_cov),
         params={},
-        expression=f"{k1.expression} + {k2.expression}",
+        kind="+",
         parts=(k1, k2),
     )
 
@@ -289,18 +317,14 @@ def multiply(k1: StateSpaceKernel, k2: StateSpaceKernel) -> StateSpaceKernel:
         stationary_cov=P,
         initial_cov=P,
         params={},
-        expression=f"{_factor_expr(k1)} * {_factor_expr(k2)}",
+        kind="*",
+        parts=(k1, k2),
     )
 
 
 def _check_kernel(k):
     if not isinstance(k, StateSpaceKernel):
         raise ParameterError(f"expected a StateSpaceKernel, got {type(k).__name__}")
-
-
-def _factor_expr(k: StateSpaceKernel) -> str:
-    # Sums need parentheses when they appear inside a product.
-    return f"({k.expression})" if k.parts is not None else k.expression
 
 
 def matrix_exponential(m: np.ndarray) -> np.ndarray:
@@ -379,6 +403,23 @@ _CONSTRUCTORS = {
     "cosine": cosine,
     "brownian": brownian,
 }
+
+
+def _leaf_values(kernel: StateSpaceKernel) -> list[float]:
+    """Parameters of the base kernels of a tree, leaves left to right,
+    each leaf's in constructor order."""
+    if kernel.parts is None:
+        return list(kernel.params.values())
+    return [v for part in kernel.parts for v in _leaf_values(part)]
+
+
+def _rebuild(kernel: StateSpaceKernel, values: Iterator[float]) -> StateSpaceKernel:
+    """The tree of ``kernel`` with its leaf parameters taken from the
+    iterator ``values``, in the order of :func:`_leaf_values`."""
+    if kernel.parts is None:
+        return _CONSTRUCTORS[kernel.kind](**{name: next(values) for name in kernel.params})
+    left, right = (_rebuild(part, values) for part in kernel.parts)
+    return add(left, right) if kernel.kind == "+" else multiply(left, right)
 
 
 def parse_kernel(text: str) -> StateSpaceKernel:

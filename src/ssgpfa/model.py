@@ -38,11 +38,10 @@ reconstruction error.
 
 from __future__ import annotations
 
-import ast
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import repeat
 from typing import Callable, Iterator, Sequence
@@ -52,7 +51,6 @@ import numpy as np
 from . import explain
 from .errors import ConfigError, InputError, NumericalError, ParameterError
 from .kalman import (
-    GaussianState,
     LinearObservationModel,
     TransitionCache,
     _filter_steps,
@@ -61,7 +59,8 @@ from .kalman import (
     rts_smooth,
     univariate_observation_model,
 )
-from .kernels import StateSpaceKernel, add, discretize, matern32, parse_kernel
+from .kernels import (StateSpaceKernel, _leaf_values, _rebuild, add, discretize, matern32,
+                      parse_kernel)
 
 __all__ = [
     "SsgpfaModel",
@@ -199,14 +198,13 @@ class LatentPosterior:
     ``covs`` is diagonal by construction only for orthogonal models on
     data without partially observed rows. ``used``
     flags the time steps that were absorbed (robust training may skip
-    some). ``latent_states`` holds the full smoothed state per latent.
+    some).
     """
 
     means: np.ndarray
     covs: np.ndarray
     log_likelihood: float
     used: np.ndarray
-    latent_states: tuple = field(default=(), repr=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,7 +315,6 @@ def e_step(model: SsgpfaModel, values: np.ndarray, timestamps, mask=None,
     means = np.zeros((T, K))
     covs = np.zeros((T, K, K))
     emissions = [k.emission for k in model.kernels]
-    latent_states = [()] * K
     for block, group, store in zip(blocks, groups, filtered):
         smoothed = rts_smooth(store, _chain_transitions(block, t_arr))
         for j, sj in group:
@@ -325,9 +322,7 @@ def e_step(model: SsgpfaModel, values: np.ndarray, timestamps, mask=None,
             means[:, j] = [h @ st.mean[sj] for st in smoothed]
             for k, sk in group:
                 covs[:, j, k] = [h @ st.cov[sj, sk] @ emissions[k] for st in smoothed]
-            latent_states[j] = tuple(smoothed) if len(group) == 1 else tuple(
-                GaussianState(st.mean[sj], st.cov[sj, sj]) for st in smoothed)
-    return LatentPosterior(means, covs, float(total_ll), used, tuple(latent_states))
+    return LatentPosterior(means, covs, float(total_ll), used)
 
 
 def _per_latent_groups(n_latents: int) -> list:
@@ -688,12 +683,14 @@ def fit_univariate(y: np.ndarray, timestamps,
                    max_outer: int = 20) -> SsgpfaModel:
     """Fit a univariate GP model, optionally refining hyperparameters.
 
-    Hyperparameters (all kernel parameters plus the observation-noise
-    variance) are optimized in log space with L-BFGS-B and
-    finite-difference gradients, capped at ``max_outer`` iterations.
-    The best parameters seen are kept, so the result is never worse
-    than the starting point. With ``optimize=False`` the given
-    parameters are wrapped unchanged.
+    A string is read once with :func:`parse_kernel`. Hyperparameters
+    (every parameter of every base kernel in the tree, including
+    arguments an expression leaves at their defaults, plus the
+    observation-noise variance) are optimized in log space with
+    L-BFGS-B and finite-difference gradients, capped at ``max_outer``
+    iterations. The best parameters seen are kept, so the result is
+    never worse than the starting point. With ``optimize=False`` the
+    given parameters are wrapped unchanged.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     T = y.shape[0]
@@ -702,9 +699,8 @@ def fit_univariate(y: np.ndarray, timestamps,
     t_arr = _as_time_array(timestamps, T)
     if not math.isfinite(noise_variance) or noise_variance <= 0.0:
         raise ParameterError(f"noise_variance must be positive, got {noise_variance!r}")
-    expr = kernel_expression.expression if isinstance(kernel_expression, StateSpaceKernel) \
-        else str(kernel_expression)
-    template = _KernelTemplate(expr)
+    start = kernel_expression if isinstance(kernel_expression, StateSpaceKernel) \
+        else parse_kernel(kernel_expression)
 
     def negative_loglik(kernel: StateSpaceKernel, nv: float) -> float:
         obs = univariate_observation_model(kernel, nv)
@@ -714,13 +710,13 @@ def fit_univariate(y: np.ndarray, timestamps,
                 total += step.log_likelihood
         return -total
 
-    theta0 = np.log(np.append(template.values, noise_variance))
+    theta0 = np.log(np.append(_leaf_values(start), noise_variance))
     best = {"f": math.inf, "theta": theta0}
 
     def objective(theta: np.ndarray) -> float:
         params = np.exp(theta)
         try:
-            kernel = template.build(params[:-1])
+            kernel = _rebuild(start, iter(params[:-1]))
             f = negative_loglik(kernel, float(params[-1]))
         except (ConfigError, ParameterError, NumericalError, FloatingPointError):
             return 1e12
@@ -739,7 +735,7 @@ def fit_univariate(y: np.ndarray, timestamps,
 
         minimize(objective, theta0, method="L-BFGS-B", options={"maxiter": max_outer})
     params = np.exp(best["theta"])
-    kernel = template.build(params[:-1])
+    kernel = _rebuild(start, iter(params[:-1]))
     nv = float(params[-1])
     return SsgpfaModel(
         kernels=(kernel,),
@@ -749,91 +745,6 @@ def fit_univariate(y: np.ndarray, timestamps,
         mode="orthogonal",
         training_log=(-best["f"],) if math.isfinite(best["f"]) else (),
     )
-
-
-class _KernelTemplate:
-    """Kernel expression with hole-punched numeric parameters.
-
-    Parses an expression once, records each constructor argument in
-    left-to-right order, and rebuilds the kernel from a replacement
-    parameter vector. Used to re-evaluate the filter likelihood while
-    hyperparameters move during optimization.
-    """
-
-    def __init__(self, text: str):
-        try:
-            tree = ast.parse(text, mode="eval")
-        except SyntaxError as exc:
-            raise ConfigError(f"invalid kernel expression {text!r}: {exc}") from None
-        self._tree = tree.body
-        self.names: list[str] = []
-        self.values_list: list[float] = []
-        self._collect(self._tree)
-        if not self.names:
-            raise ConfigError(f"kernel expression {text!r} has no numeric parameters")
-        self.build(self.values)
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.array(self.values_list, dtype=float)
-
-    def _collect(self, node) -> None:
-        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Mult)):
-            self._collect(node.left)
-            self._collect(node.right)
-            return
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-            ctor = node.func.id
-            arg_names = {"matern32": ["lengthscale", "variance"],
-                         "cosine": ["period", "variance"],
-                         "brownian": ["diffusion"]}.get(ctor)
-            if arg_names is None:
-                raise ConfigError(f"unknown kernel constructor {ctor!r}")
-            if len(node.args) > len(arg_names):
-                raise ConfigError(f"too many arguments for {ctor}()")
-            for pos, arg in enumerate(node.args):
-                self.names.append(f"{ctor}.{arg_names[pos]}")
-                self.values_list.append(float(_const_value(arg)))
-            for kw in node.keywords:
-                self.names.append(f"{ctor}.{kw.arg}")
-                self.values_list.append(float(_const_value(kw.value)))
-            return
-        raise ConfigError("kernel expressions may only combine constructor calls with + and *")
-
-    def build(self, params: Sequence[float]) -> StateSpaceKernel:
-        it = iter(params)
-        text = self._render(self._tree, it)
-        return parse_kernel(text)
-
-    def _render(self, node, it) -> str:
-        if isinstance(node, ast.BinOp):
-            left = self._render(node.left, it)
-            right = self._render(node.right, it)
-            if isinstance(node.op, ast.Add):
-                return f"{left} + {right}"
-            if isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.Add):
-                left = f"({left})"
-            if isinstance(node.right, ast.BinOp) and isinstance(node.right.op, ast.Add):
-                right = f"({right})"
-            return f"{left} * {right}"
-        ctor = node.func.id
-        rendered = []
-        arg_names = {"matern32": ["lengthscale", "variance"],
-                     "cosine": ["period", "variance"],
-                     "brownian": ["diffusion"]}[ctor]
-        for pos in range(len(node.args)):
-            rendered.append(f"{arg_names[pos]}={float(next(it))!r}")
-        for kw in node.keywords:
-            rendered.append(f"{kw.arg}={float(next(it))!r}")
-        return f"{ctor}({', '.join(rendered)})"
-
-
-def _const_value(node):
-    if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
-        return node.value
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        return -_const_value(node.operand)
-    raise ConfigError("kernel parameters must be numeric literals")
 
 
 # --- training entry point --------------------------------------------------

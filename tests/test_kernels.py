@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,17 +9,20 @@ from hypothesis import strategies as st
 from ssgpfa import (
     ConfigError,
     ParameterError,
+    SsgpfaModel,
     UnsupportedKernelError,
     add,
     brownian,
     cosine,
     discretize,
     matern32,
+    model_from_dict,
+    model_to_dict,
     multiply,
     parse_kernel,
     prior_covariance,
 )
-from ssgpfa.kernels import matrix_exponential
+from ssgpfa.kernels import _leaf_values, _rebuild, matrix_exponential
 
 
 def analytic_matern32(tau, lengthscale, variance):
@@ -229,3 +233,79 @@ class TestValidation:
         k = matern32(1.0) + cosine(2.0)
         assert k.emission.shape == (4,)
         np.testing.assert_allclose(k.emission, [1.0, 0.0, 1.0, 0.0])
+
+
+# --- kernel trees: one printer, one parser, one parameter vector -----------
+
+_PARAM = st.floats(0.01, 1000.0)
+_LEAVES = st.one_of(
+    st.builds(matern32, _PARAM, _PARAM),
+    st.builds(cosine, _PARAM, _PARAM),
+    st.builds(brownian, _PARAM),
+)
+
+
+def _combine(args):
+    k1, k2, product = args
+    if product and k1.stationary and k2.stationary:
+        return multiply(k1, k2)
+    return add(k1, k2)
+
+
+def kernel_trees(depth=3):
+    """Random trees at most ``depth`` operators deep; only stationary
+    subtrees are multiplied."""
+    if depth == 0:
+        return _LEAVES
+    sub = kernel_trees(depth - 1)
+    return st.one_of(_LEAVES, st.tuples(sub, sub, st.booleans()).map(_combine))
+
+
+def assert_same_kernel(a, b):
+    assert a.expression == b.expression
+    for name in ("feedback", "emission", "initial_cov"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.stationary == b.stationary
+    if a.stationary:
+        assert np.array_equal(a.stationary_cov, b.stationary_cov)
+
+
+class TestKernelTree:
+    @settings(max_examples=50, deadline=None)
+    @given(k=kernel_trees())
+    def test_parse_round_trip(self, k):
+        assert_same_kernel(parse_kernel(k.expression), k)
+
+    @settings(max_examples=50, deadline=None)
+    @given(k=kernel_trees())
+    def test_rebuild_round_trip(self, k):
+        assert_same_kernel(_rebuild(k, iter(_leaf_values(k))), k)
+
+    @settings(max_examples=30, deadline=None)
+    @given(k1=kernel_trees(), k2=kernel_trees(), noise=_PARAM)
+    def test_model_json_round_trip(self, k1, k2, noise):
+        loading = np.array([[0.6, 0.0], [0.8, 0.0], [0.0, 1.0]])
+        model = SsgpfaModel((k1, k2), loading, np.array([0.5, -1.0, 2.0]), noise)
+        doc = model_to_dict(model)
+        clone = model_from_dict(json.loads(json.dumps(doc)))
+        assert model_to_dict(clone) == doc
+        for a, b in zip(clone.kernels, model.kernels):
+            assert_same_kernel(a, b)
+        for name in ("loading", "offset", "noise"):
+            assert np.array_equal(getattr(clone, name), getattr(model, name)), name
+
+    def test_printer_output(self):
+        a = matern32(2.0, 0.5)
+        b = cosine(24.0)
+        c = matern32(lengthscale=50.0)
+        ea = "matern32(lengthscale=2.0, variance=0.5)"
+        eb = "cosine(period=24.0, variance=1.0)"
+        ec = "matern32(lengthscale=50.0, variance=1.0)"
+        assert ((a + b) * c).expression == f"({ea} + {eb}) * {ec}"
+        assert (a + b * c).expression == f"{ea} + {eb} * {ec}"
+        assert (a * b * c).expression == f"{ea} * {eb} * {ec}"
+        assert (a * (b * c)).expression == f"{ea} * ({eb} * {ec})"
+
+    def test_leaf_values_in_tree_order(self):
+        k = brownian(0.1) + matern32(3.0, 2.0) * cosine(period=9.0)
+        assert _leaf_values(k) == [0.1, 3.0, 2.0, 9.0, 1.0]

@@ -24,6 +24,7 @@ from ssgpfa import (
     model_from_dict,
     model_to_dict,
     orthogonalize,
+    parse_kernel,
     robust_filter,
     save_model,
     score_online,
@@ -545,6 +546,27 @@ class TestFitUnivariate:
             max_outer=6)
         assert "*" in model.kernels[0].expression  # still a product kernel
         assert math.isfinite(model.training_log[-1])
+
+    def test_rejects_what_parse_kernel_rejects(self):
+        t = np.arange(20.0)
+        with pytest.raises(ConfigError):
+            fit_univariate(np.sin(t), t, "matern32(lengthscale=True)", optimize=False)
+
+    @pytest.mark.parametrize("expr", [
+        "matern32(lengthscale=10.0) * cosine(period=11.0)",
+        "matern32(variance=2.0, lengthscale=4.0)",
+    ])
+    def test_string_fits_like_parsed_kernel(self, expr):
+        # Defaults left out of a string and argument order must not change
+        # which parameters move or in what order.
+        rng = np.random.default_rng(33)
+        t = np.arange(60.0)
+        y = np.cos(2 * np.pi * t / 12.0) + 0.05 * rng.standard_normal(60)
+        a = fit_univariate(y, t, expr)
+        b = fit_univariate(y, t, parse_kernel(expr))
+        assert a.kernels[0].expression == b.kernels[0].expression
+        assert a.noise.tobytes() == b.noise.tobytes()
+        assert a.training_log == b.training_log
 
 
 class TestTrainSeries:
