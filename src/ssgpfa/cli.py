@@ -32,6 +32,7 @@ from .errors import (
     ParameterError,
     SsgpfaError,
 )
+from .kalman import _log_threshold
 from .metrics import EvalReport, _label_runs, best_f1_sweep, range_adjusted_metrics, sweep_curve
 
 __all__ = ["main", "build_parser"]
@@ -249,18 +250,17 @@ def _report_dict(report: EvalReport) -> dict:
 
 def _train_model(series, cfg: dict):
     robust = cfg["robust"] if cfg["robust"] is not None else False
-    robust_rho = None
+    robust_log_rho = None
     if robust:
-        robust_rho = cfg["rho"] if cfg["rho"] is not None else _DEFAULT_RHO
-        if cfg["log_rho"] is not None:
-            robust_rho = math.exp(cfg["log_rho"])
+        robust_log_rho = _log_threshold(_DEFAULT_RHO if cfg["rho"] is None else cfg["rho"],
+                                        cfg["log_rho"])
     return model_mod.train_series(
         series,
         kernels=_kernel_list(cfg),
         mode=cfg["mode"],
         max_iters=cfg["max_iters"],
         tol=cfg["tol"],
-        robust_rho=robust_rho,
+        robust_log_rho=robust_log_rho,
     )
 
 

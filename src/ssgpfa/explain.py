@@ -3,9 +3,14 @@
 Once a point has been scored, the question "which latent process is
 surprised?" is answered by projecting the observation back into latent
 space and scoring each coordinate under that latent's one-step
-predictive distribution. With an orthogonal loading matrix the
-projection is a plain transpose; otherwise it falls back to the normal
-equations (least squares), which mixes latents and is flagged with a
+predictive distribution.
+
+One rule, :func:`_projection`, picks the projection for every caller.
+An orthogonal model on a fully observed row projects with the plain
+transpose C^T. Otherwise the projection is the pseudoinverse of the
+observed rows of C: the least-squares, minimum-norm map, which mixes
+latents. :func:`project_latents` warns when it is called on a
+non-orthogonal model; online scoring uses the same rule without the
 warning.
 
 The reconstruction error ||(y - d) - C v|| measures how far the
@@ -27,11 +32,27 @@ __all__ = ["project_latents", "scalar_nll", "reconstruction_error"]
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
-def project_latents(model, y: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-    """Project an observation into latent coordinates.
+def _projection(model, observed: np.ndarray):
+    """The map M from the residuals y - d on the observed rows to latent
+    coordinates, and the observation-noise variance diag(M Psi M^T)
+    that each coordinate carries.
 
-    Orthogonal mode uses v = C^T (y - d). Unconstrained loadings are
-    handled by least squares on the available rows, with a warning
+    M is C^T (noise sigma^2) for an orthogonal model on a fully observed
+    row, otherwise the pseudoinverse of the observed rows of C.
+    """
+    C = model.loading
+    if model.mode == "orthogonal" and observed.all():
+        return C.T, np.full(C.shape[1], model.noise[0])
+    M = np.linalg.pinv(C[observed])
+    return M, np.einsum("kd,d,kd->k", M, model.noise[observed], M)
+
+
+def project_latents(model, y: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+    """Project an observation into latent coordinates by :func:`_projection`.
+
+    Orthogonal mode on a fully observed row uses v = C^T (y - d).
+    Otherwise the pseudoinverse of the observed rows of C gives the
+    least-squares coordinates, with a warning on non-orthogonal models
     because the projection then blends latents.
     """
     C = model.loading
@@ -42,9 +63,6 @@ def project_latents(model, y: np.ndarray, mask: np.ndarray | None = None) -> np.
         mask = np.isfinite(y)
     else:
         mask = np.asarray(mask, dtype=bool) & np.isfinite(y)
-    r = y - model.offset
-    if model.mode == "orthogonal" and mask.all():
-        return C.T @ r
     if model.mode != "orthogonal":
         warnings.warn(
             "projecting latents through non-orthogonal loadings via least squares; "
@@ -53,8 +71,7 @@ def project_latents(model, y: np.ndarray, mask: np.ndarray | None = None) -> np.
         )
     if not mask.any():
         return np.full(C.shape[1], np.nan)
-    sol, *_ = np.linalg.lstsq(C[mask], r[mask], rcond=None)
-    return sol
+    return _projection(model, mask)[0] @ (y - model.offset)[mask]
 
 
 def scalar_nll(x: float, mean: float, var: float) -> float:

@@ -44,7 +44,7 @@ fully missing observation leaves the state untouched.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -107,15 +107,10 @@ def _sym(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GaussianState:
-    """Gaussian belief over the latent state.
-
-    ``last_accepted_time`` records the timestamp of the most recent
-    observation absorbed into this belief (None before any update).
-    """
+    """Gaussian belief over the latent state."""
 
     mean: np.ndarray
     cov: np.ndarray
-    last_accepted_time: float | None = None
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float)
@@ -193,7 +188,6 @@ class FilterStepResult:
     log_likelihood: float
     marginal_log_likelihoods: np.ndarray
     accepted: bool
-    transition: DiscretizedTransition | None = field(default=None, repr=False)
 
 
 def predict(state: GaussianState, transition: DiscretizedTransition) -> GaussianState:
@@ -201,7 +195,7 @@ def predict(state: GaussianState, transition: DiscretizedTransition) -> Gaussian
     A, Q = transition.A, transition.Q
     mean = A @ state.mean
     cov = _sym(A @ state.cov @ A.T + Q)
-    return GaussianState(mean, cov, state.last_accepted_time)
+    return GaussianState(mean, cov)
 
 
 def update(state: GaussianState, y: np.ndarray, obs: LinearObservationModel,
@@ -250,7 +244,7 @@ def update(state: GaussianState, y: np.ndarray, obs: LinearObservationModel,
     mean = state.mean + gain @ v
     ikh = np.eye(P.shape[0]) - gain @ H
     cov = _sym(ikh @ P @ ikh.T + (gain * r) @ gain.T)
-    return GaussianState(mean, cov, state.last_accepted_time), v, S
+    return GaussianState(mean, cov), v, S
 
 
 def observation_log_likelihood(innovation: np.ndarray, innovation_cov: np.ndarray):
@@ -284,7 +278,7 @@ def observation_log_likelihood(innovation: np.ndarray, innovation_cov: np.ndarra
 
 
 def _initial_state(kernel: StateSpaceKernel) -> GaussianState:
-    return GaussianState(np.zeros(kernel.state_dim), kernel.initial_cov.copy(), None)
+    return GaussianState(np.zeros(kernel.state_dim), kernel.initial_cov.copy())
 
 
 def _log_threshold(rho: float, log_rho: float | None) -> float:
@@ -306,7 +300,6 @@ class _Step(NamedTuple):
     observed: np.ndarray
     predicted: list
     updated: list
-    transitions: list | None
     log_likelihood: float
     marginals: np.ndarray | None
     accepted: bool
@@ -362,19 +355,17 @@ def _filter_steps(rows: Iterable, kernels: Sequence[StateSpaceKernel],
         if loading is not None and 0 < n_obs < D:
             merged = reduce(add, blocks)
             states = [GaussianState(np.concatenate([s.mean for s in states]),
-                                    block_diag(*[s.cov for s in states]), anchor)]
+                                    block_diag(*[s.cov for s in states]))]
             blocks, caches, loading = [merged], [TransitionCache(merged)], None
 
         if anchor is None:
-            transitions = None
             predicted = states
         else:
-            transitions = [cache.get(t - anchor) for cache in caches]
-            predicted = [predict(s, tr) for s, tr in zip(states, transitions)]
+            predicted = [predict(s, cache.get(t - anchor)) for s, cache in zip(states, caches)]
 
         if not n_obs:
-            yield _Step(t, y, observed, predicted, predicted, transitions, float("nan"),
-                        np.full(D, np.nan), True)
+            yield _Step(t, y, observed, predicted, predicted, float("nan"), np.full(D, np.nan),
+                        True)
             continue
 
         try:
@@ -409,10 +400,10 @@ def _filter_steps(rows: Iterable, kernels: Sequence[StateSpaceKernel],
             raise NumericalError(f"time index {i}: {exc}") from None
 
         if accepted:
-            states = [GaussianState(c.mean, c.cov, t) for c in candidates]
+            states = candidates
             anchor = t
-        yield _Step(t, y, observed, predicted, states if accepted else predicted, transitions,
-                    joint, marginals, accepted)
+        yield _Step(t, y, observed, predicted, states if accepted else predicted, joint,
+                    marginals, accepted)
 
 
 def robust_filter(timestamps: Sequence[float], values: np.ndarray,
@@ -468,8 +459,7 @@ def robust_filter(timestamps: Sequence[float], values: np.ndarray,
     for step in _filter_steps(rows, (kernel,), obs, log_rho=log_rho,
                               gate="joint" if robust else None):
         yield FilterStepResult(step.timestamp, step.predicted[0], step.updated[0],
-                               step.log_likelihood, step.marginals, step.accepted,
-                               None if step.transitions is None else step.transitions[0])
+                               step.log_likelihood, step.marginals, step.accepted)
 
 
 def rts_smooth(filtered: Sequence[GaussianState],
@@ -512,5 +502,5 @@ def rts_smooth(filtered: Sequence[GaussianState],
         nxt = smoothed[j + 1]
         mean = m + gain @ (nxt.mean - m_pred)
         cov = _sym(P + gain @ (nxt.cov - P_pred) @ gain.T)
-        smoothed[j] = GaussianState(mean, cov, filtered[j].last_accepted_time)
+        smoothed[j] = GaussianState(mean, cov)
     return smoothed

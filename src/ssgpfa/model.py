@@ -216,8 +216,10 @@ class ScoredPoint:
     skipped the point. ``latent_nlls[k]`` scores the projected latent
     coordinate under its predictive distribution (latent predictive
     variance plus the observation noise carried into the projection);
-    the largest entry attributes the anomaly. ``reconstruction_error``
-    is the distance from the latent subspace.
+    the largest entry attributes the anomaly. Unconstrained models, and
+    orthogonal ones on partially observed rows, project through the
+    pseudoinverse of the observed loadings, which mixes latents.
+    ``reconstruction_error`` is the distance from the latent subspace.
     """
 
     timestamp: float
@@ -334,15 +336,17 @@ def _per_latent_groups(n_latents: int) -> list:
 def m_step(posterior: LatentPosterior, values: np.ndarray, mask=None):
     """Closed-form maximizers of the expected complete-data log-likelihood.
 
-    Solves the coupled normal equations for (C, d) jointly (centered
-    form), then the diagonal noise given both:
+    One formula for every mask, full or partial: each dimension i solves
+    the coupled normal equations for (C_i, d_i) jointly (centered form),
+    then its noise variance given both, with the sums, the means and T
+    taken over the steps where i is observed:
 
-        C* = sum (y_t - ybar)(mu_t - mubar)^T
-             [sum Sigma_t + (mu_t - mubar)(mu_t - mubar)^T]^{-1}
-        d* = ybar - C* mubar
-        Psi*_ii = 1/T sum [ (y - C* mu - d*)_i^2 + (C* Sigma_t C*^T)_ii ]
+        C*_i = sum (y_it - ybar_i)(mu_t - mubar)^T
+               [sum Sigma_t + (mu_t - mubar)(mu_t - mubar)^T]^{-1}
+        d*_i = ybar_i - C*_i mubar
+        Psi*_ii = 1/T sum [ (y_it - C*_i mu_t - d*_i)^2 + C*_i Sigma_t C*_i^T ]
 
-    Missing entries are excluded per dimension. Returns (C, d, psi_diag).
+    Returns (C, d, psi_diag).
     """
     values = np.atleast_2d(np.asarray(values, dtype=float))
     D, T = values.shape
@@ -351,20 +355,6 @@ def m_step(posterior: LatentPosterior, values: np.ndarray, mask=None):
         raise ParameterError("posterior length does not match the data")
     mask = _normalize_mask(values, mask)
     K = means.shape[1]
-
-    if mask.all():
-        ybar = values.mean(axis=1)
-        mubar = means.mean(axis=0)
-        Yc = values - ybar[:, None]
-        Mc = means - mubar
-        Syz = Yc @ Mc
-        Szz = covs.sum(axis=0) + Mc.T @ Mc
-        C = _solve_loading(Szz, Syz)
-        d = ybar - C @ mubar
-        resid = values - C @ means.T - d[:, None]
-        cross = np.einsum("ik,kl,il->i", C, covs.sum(axis=0), C)
-        psi = (resid ** 2).sum(axis=1) / T + cross / T
-        return C, d, np.maximum(psi, 1e-12)
 
     C = np.zeros((D, K))
     d = np.zeros(D)
@@ -414,7 +404,7 @@ def orthogonalize(loading: np.ndarray) -> np.ndarray:
 
 def fit_em(values: np.ndarray, timestamps, kernels: Sequence[StateSpaceKernel] | Sequence[str], *,
            mode: str = "orthogonal", max_iters: int = 50, tol: float = 1e-6,
-           mask=None, robust_rho: float | None = None,
+           mask=None, robust_log_rho: float | None = None,
            callback: Callable | None = None) -> SsgpfaModel:
     """Fit loading, offset and noise by EM with fixed latent kernels.
 
@@ -422,8 +412,8 @@ def fit_em(values: np.ndarray, timestamps, kernels: Sequence[StateSpaceKernel] |
     loadings. Iterations stop when the relative change of the data
     log-likelihood drops below ``tol`` or after ``max_iters``; the
     returned model is the one that produced the final training-log
-    entry. ``robust_rho`` activates the robust gate during training
-    (off by default: every point is absorbed).
+    entry. ``robust_log_rho`` activates the robust gate during training
+    with threshold log(rho) (off by default: every point is absorbed).
 
     ``callback(iteration, model, posterior)`` is invoked after every
     E-step, before the parameter update.
@@ -446,11 +436,8 @@ def fit_em(values: np.ndarray, timestamps, kernels: Sequence[StateSpaceKernel] |
         raise ConfigError("max_iters must be at least 1")
     t_arr = _as_time_array(timestamps, T)
     mask = _normalize_mask(values, mask)
-    robust_log_rho = None
-    if robust_rho is not None:
-        if robust_rho <= 0.0:
-            raise ConfigError("robust_rho must be positive")
-        robust_log_rho = math.log(robust_rho)
+    if robust_log_rho is not None and not math.isfinite(robust_log_rho):
+        raise ConfigError(f"robust_log_rho must be finite, got {robust_log_rho!r}")
 
     filled = np.where(mask, values, 0.0)
     U = np.linalg.svd(filled, full_matrices=False)[0]
@@ -496,7 +483,8 @@ def fa_likelihood(model: SsgpfaModel, values: np.ndarray, timestamps=None,
     Treats each time point independently under the marginal
     y_t ~ N(d, Psi + C Ktt C^T), where Ktt is the diagonal of latent
     prior variances at that point. Invariant under rotations of C when
-    the latent prior variances are equal.
+    the latent prior variances are equal. ``timestamps`` are needed only
+    when some latent is nonstationary.
     """
     values = np.atleast_2d(np.asarray(values, dtype=float))
     D, T = values.shape
@@ -505,15 +493,8 @@ def fa_likelihood(model: SsgpfaModel, values: np.ndarray, timestamps=None,
     mask = _normalize_mask(values, mask)
     C, d = model.loading, model.offset
 
-    if all(k.stationary for k in model.kernels):
-        prior_vars = np.array([float(k.emission @ k.stationary_cov @ k.emission)
-                               for k in model.kernels])
-        per_t_vars = [prior_vars] * T
-    else:
-        if timestamps is None:
-            raise ConfigError("nonstationary latents need timestamps for the prior variance")
-        t_arr = _as_time_array(timestamps, T)
-        per_t_vars = _prior_variance_paths(model.kernels, t_arr)
+    t_arr = None if timestamps is None else _as_time_array(timestamps, T)
+    per_t_vars = _prior_variance_paths(model.kernels, T, t_arr)
 
     total = 0.0
     chol_cache = {}
@@ -540,13 +521,16 @@ def fa_likelihood(model: SsgpfaModel, values: np.ndarray, timestamps=None,
     return float(total)
 
 
-def _prior_variance_paths(kernels, timestamps):
-    T = len(timestamps)
+def _prior_variance_paths(kernels, T: int, timestamps):
+    """Per-step prior variance of each latent over ``T`` steps;
+    ``timestamps`` may be None when every kernel is stationary."""
     out = np.zeros((T, len(kernels)))
     for k, kern in enumerate(kernels):
         if kern.stationary:
             out[:, k] = float(kern.emission @ kern.stationary_cov @ kern.emission)
             continue
+        if timestamps is None:
+            raise ConfigError("nonstationary latents need timestamps for the prior variance")
         P = kern.initial_cov.copy()
         h = kern.emission
         out[0, k] = h @ P @ h
@@ -612,24 +596,6 @@ def _stream_rows(model: SsgpfaModel, stream):
         yield float(t), y, finite if m is None else np.asarray(m, dtype=bool) & finite
 
 
-def _projected_noise_vars(C_obs: np.ndarray, psi_obs: np.ndarray) -> np.ndarray:
-    """Observation-noise variance carried into each projected coordinate.
-
-    The least-squares projection v = (C^T C)^{-1} C^T (y - d) maps the
-    observation noise through G^{-1} C^T, so coordinate k inherits
-    [G^{-1} C^T Psi C G^{-1}]_kk on top of its latent predictive
-    variance. Singular Grams (fewer observed dims than latents) fall
-    back to the pseudoinverse, matching the minimum-norm projection.
-    """
-    G = C_obs.T @ C_obs
-    try:
-        Ginv = np.linalg.inv(G)
-    except np.linalg.LinAlgError:
-        Ginv = np.linalg.pinv(G)
-    M = Ginv @ C_obs.T
-    return np.einsum("kd,d,kd->k", M, psi_obs, M)
-
-
 def _scored_points(model: SsgpfaModel, slices: list, steps) -> Iterator[ScoredPoint]:
     """One :class:`ScoredPoint` per filter step, with its per-latent
     attribution. ``slices`` are the latents' state slices in the stacked
@@ -642,7 +608,7 @@ def _scored_points(model: SsgpfaModel, slices: list, steps) -> Iterator[ScoredPo
     stacked = [list(enumerate(slices))]
     for step in steps:
         y, row, marginals = step.y, step.observed, step.marginals
-        if marginals is not None and not row.any():
+        if not row.any():
             yield ScoredPoint(step.timestamp, float("nan"), np.full(model.n_dims, np.nan), True,
                               np.full(K, np.nan), float("nan"))
             continue
@@ -654,16 +620,13 @@ def _scored_points(model: SsgpfaModel, slices: list, steps) -> Iterator[ScoredPo
                 mu_hat[k] = h @ st.mean[sk]
                 s_pred[k] = h @ st.cov[sk, sk] @ h
         if marginals is None:
-            # per-latent step, so a full row and orthonormal C (G = I):
+            # per-latent step, so a full row and orthonormal C:
             # y_i ~ N((C mu + d)_i, (C^2 s)_i + sigma^2)
             mean_y = C @ mu_hat + d
             var_y = C_sq @ s_pred + model.noise
             marginals = -0.5 * (_LOG_2PI + np.log(var_y) + (y - mean_y) ** 2 / var_y)
-            noise_vars = np.full(K, model.sigma2)
-            v_proj = C.T @ (y - d)
-        else:
-            noise_vars = _projected_noise_vars(C[row], model.noise[row])
-            v_proj = explain.project_latents(model, y, row)
+        M, noise_vars = explain._projection(model, row)
+        v_proj = M @ (y - d)[row]
         latent_nlls = np.array([
             explain.scalar_nll(float(v_proj[k]), float(mu_hat[k]),
                                float(s_pred[k] + noise_vars[k]))
@@ -689,8 +652,9 @@ def fit_univariate(y: np.ndarray, timestamps,
     observation-noise variance) are optimized in log space with
     L-BFGS-B and finite-difference gradients, capped at ``max_outer``
     iterations. The best parameters seen are kept, so the result is
-    never worse than the starting point. With ``optimize=False`` the
-    given parameters are wrapped unchanged.
+    never worse than the starting point; the given kernel and noise
+    variance are returned unchanged when nothing beats them, as with
+    ``optimize=False``.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     T = y.shape[0]
@@ -702,46 +666,48 @@ def fit_univariate(y: np.ndarray, timestamps,
     start = kernel_expression if isinstance(kernel_expression, StateSpaceKernel) \
         else parse_kernel(kernel_expression)
 
-    def negative_loglik(kernel: StateSpaceKernel, nv: float) -> float:
-        obs = univariate_observation_model(kernel, nv)
-        total = 0.0
-        for step in robust_filter(t_arr, y[None, :], kernel, obs, robust=False):
-            if math.isfinite(step.log_likelihood):
-                total += step.log_likelihood
-        return -total
+    failures = (ConfigError, ParameterError, NumericalError, FloatingPointError)
+    best = {"f": math.inf, "kernel": start, "noise": float(noise_variance)}
 
-    theta0 = np.log(np.append(_leaf_values(start), noise_variance))
-    best = {"f": math.inf, "theta": theta0}
+    def score(kernel: StateSpaceKernel, nv: float) -> float:
+        """Negative filter log-likelihood (1e12 where it fails); keeps
+        the best pair seen."""
+        try:
+            obs = univariate_observation_model(kernel, nv)
+            total = 0.0
+            for step in robust_filter(t_arr, y[None, :], kernel, obs, robust=False):
+                if math.isfinite(step.log_likelihood):
+                    total += step.log_likelihood
+        except failures:
+            return 1e12
+        f = -total
+        if not math.isfinite(f):
+            return 1e12
+        if f < best["f"]:
+            best.update(f=f, kernel=kernel, noise=nv)
+        return f
 
     def objective(theta: np.ndarray) -> float:
         params = np.exp(theta)
         try:
             kernel = _rebuild(start, iter(params[:-1]))
-            f = negative_loglik(kernel, float(params[-1]))
-        except (ConfigError, ParameterError, NumericalError, FloatingPointError):
+        except failures:
             return 1e12
-        if not math.isfinite(f):
-            return 1e12
-        if f < best["f"]:
-            best["f"] = f
-            best["theta"] = theta.copy()
-        return f
+        return score(kernel, float(params[-1]))
 
-    objective(theta0)
+    score(start, float(noise_variance))
     if optimize and not math.isfinite(best["f"]):
         raise NumericalError("initial hyperparameters give a non-finite likelihood")
     if optimize:
         from scipy.optimize import minimize
 
+        theta0 = np.log(np.append(_leaf_values(start), noise_variance))
         minimize(objective, theta0, method="L-BFGS-B", options={"maxiter": max_outer})
-    params = np.exp(best["theta"])
-    kernel = _rebuild(start, iter(params[:-1]))
-    nv = float(params[-1])
     return SsgpfaModel(
-        kernels=(kernel,),
+        kernels=(best["kernel"],),
         loading=np.array([[1.0]]),
         offset=np.zeros(1),
-        noise=np.array([nv]),
+        noise=np.array([best["noise"]]),
         mode="orthogonal",
         training_log=(-best["f"],) if math.isfinite(best["f"]) else (),
     )
@@ -752,7 +718,7 @@ def fit_univariate(y: np.ndarray, timestamps,
 
 def train_series(series, *, kernels=None, mode: str = "orthogonal",
                  max_iters: int = 50, tol: float = 1e-6,
-                 robust_rho: float | None = None, optimize: bool = True,
+                 robust_log_rho: float | None = None, optimize: bool = True,
                  noise_variance: float = 0.1, max_outer: int = 20) -> SsgpfaModel:
     """Standardize a series and train the matching model type.
 
@@ -785,7 +751,7 @@ def train_series(series, *, kernels=None, mode: str = "orthogonal",
             n_latents = min(D, len(DEFAULT_MULTIVARIATE_LENGTHSCALES))
             kernels = default_multivariate_kernels(n_latents)
         model = fit_em(scaled, timestamps, kernels, mode=mode, max_iters=max_iters,
-                       tol=tol, mask=mask, robust_rho=robust_rho)
+                       tol=tol, mask=mask, robust_log_rho=robust_log_rho)
     return replace(model, input_mean=mean, input_std=std)
 
 

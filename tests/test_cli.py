@@ -117,6 +117,17 @@ class TestTrain:
                            "--config", str(config))
         assert code == 2
 
+    def test_robust_training_takes_log_threshold(self, tmp_path, capsys, multivariate_csv):
+        # exp(-800) underflows to 0; the log threshold must reach the gate
+        # as it is, and a gate at -800 accepts every row
+        args = ("--input", str(multivariate_csv), "--latents", "2",
+                "--max-iters", "3", "--tol", "0")
+        plain, robust = tmp_path / "plain.json", tmp_path / "robust.json"
+        run_json(capsys, "train", *args, "--model", str(plain))
+        run_json(capsys, "train", *args, "--model", str(robust),
+                 "--robust", "true", "--log-rho", "-800")
+        assert robust.read_bytes() == plain.read_bytes()
+
 
 def quick_model(path, train_csv):
     series = load_csv(train_csv)

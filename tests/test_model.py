@@ -8,6 +8,7 @@ import scipy.optimize
 import scipy.stats
 
 from ssgpfa import (
+    DEFAULT_UNIVARIATE_KERNEL,
     ConfigError,
     InputError,
     NumericalError,
@@ -137,10 +138,16 @@ class TestEStep:
         assert e_step(ortho, Y, t).log_likelihood == pytest.approx(
             e_step(joint, Y, t).log_likelihood, rel=1e-9)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # least-squares projection of the joint model
-            ref = [p.score for p in score_online(joint, zip(t, Y.T))]
-        scores = [p.score for p in score_online(ortho, zip(t, Y.T))]
+            warnings.simplefilter("error")  # scoring attributes without warning
+            ref_points = list(score_online(joint, zip(t, Y.T)))
+        points = list(score_online(ortho, zip(t, Y.T)))
+        ref = [p.score for p in ref_points]
+        scores = [p.score for p in points]
         np.testing.assert_allclose(scores, ref, rtol=1e-9)
+        for name in ("marginal_nlls", "latent_nlls", "reconstruction_error"):
+            np.testing.assert_allclose([getattr(p, name) for p in points],
+                                       [getattr(p, name) for p in ref_points], rtol=1e-9)
+        assert [p.accepted for p in points] == [p.accepted for p in ref_points]
 
     def test_partial_missing_rows_run(self):
         t, Y, C, d = toy_data(D=4, K=2, T=40, seed=6)
@@ -153,15 +160,19 @@ class TestEStep:
             assert math.isfinite(post.log_likelihood)
 
 
-def expected_nll(post, values, C, d, psi):
-    """Negative expected complete-data log-likelihood (M-step objective)."""
+def expected_nll(post, values, C, d, psi, mask=None):
+    """Negative expected complete-data log-likelihood (M-step objective),
+    summed over the observed cells (every cell without ``mask``)."""
     D, T = values.shape
+    if mask is None:
+        mask = np.ones((D, T), dtype=bool)
     total = 0.0
     for t in range(T):
         m, S = post.means[t], post.covs[t]
-        resid = values[:, t] - C @ m - d
-        quad = resid**2 + np.einsum("ik,kl,il->i", C, S, C)
-        total += 0.5 * np.sum(np.log(2 * np.pi * psi) + quad / psi)
+        sel = mask[:, t]
+        resid = values[sel, t] - C[sel] @ m - d[sel]
+        quad = resid**2 + np.einsum("ik,kl,il->i", C[sel], S, C[sel])
+        total += 0.5 * np.sum(np.log(2 * np.pi * psi[sel]) + quad / psi[sel])
     return total
 
 
@@ -179,8 +190,12 @@ class TestMStep:
             pp = psi * np.exp(1e-3 * rng.standard_normal(psi.shape))
             assert expected_nll(post, Y, Cp, dp, pp) >= best - 1e-9
 
-    def test_matches_numerical_maximizer(self):
+    @pytest.mark.parametrize("missing", [0.0, 0.2], ids=["full", "missing"])
+    def test_matches_numerical_maximizer(self, missing):
+        # one formula serves both masks; each must be the exact maximizer
         t, Y, C_true, d_true = toy_data(D=3, K=2, T=12, seed=8)
+        mask = np.random.default_rng(12).random(Y.shape) >= missing
+        Y = np.where(mask, Y, np.nan)
         model = toy_model(C_true, offset=d_true, mode="unconstrained")
         post = e_step(model, Y, t)
         C, d, psi = m_step(post, Y)
@@ -189,7 +204,7 @@ class TestMStep:
             Cc = theta[:6].reshape(3, 2)
             dc = theta[6:9]
             pc = np.exp(theta[9:12])
-            return expected_nll(post, Y, Cc, dc, pc)
+            return expected_nll(post, Y, Cc, dc, pc, mask)
 
         x0 = np.concatenate([C.ravel() + 0.05, d + 0.05, np.log(psi) + 0.05])
         res = scipy.optimize.minimize(objective, x0, method="L-BFGS-B")
@@ -344,9 +359,7 @@ class TestScoreOnline:
         t, Y, C, d = toy_data(D=5, K=2, T=100, seed=30)
         Y = np.where(np.random.default_rng(31).random(Y.shape) < missing, np.nan, Y)
         model = toy_model(C, offset=d, mode=mode)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # least-squares projection of the joint model
-            scores = np.array([p.score for p in score_online(model, zip(t, Y.T), robust=False)])
+        scores = np.array([p.score for p in score_online(model, zip(t, Y.T), robust=False)])
         total = -scores[np.isfinite(scores)].sum()
         assert e_step(model, Y, t).log_likelihood == pytest.approx(total, rel=1e-10)
 
@@ -527,6 +540,11 @@ class TestFitUnivariate:
         assert model.n_dims == 1 and model.n_latents == 1
         assert model.kernels[0].params["lengthscale"] == 4.0
         np.testing.assert_allclose(model.loading, [[1.0]])
+        # the given kernel and noise come back as given, not via exp(log(x))
+        for expr in ("matern32(lengthscale=4.0, variance=2.0)", DEFAULT_UNIVARIATE_KERNEL):
+            model = fit_univariate(y, t, expr, optimize=False)
+            assert model.kernels[0].expression == parse_kernel(expr).expression
+            assert model.noise[0] == 0.1
 
     def test_optimized_never_worse_than_start(self):
         rng = np.random.default_rng(32)
