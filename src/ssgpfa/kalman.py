@@ -13,13 +13,22 @@ observation, predicts, and conditionally updates:
               P'' = (I - K H_obs) P' (I - K H_obs)^T + K R_obs K^T
 
 The covariance update uses the Joseph form throughout, and every
-computed covariance is symmetrized.
+computed covariance is symmetrized. This arithmetic lives in
+``_predict`` and ``_update`` alone; only the observed rows of H, R and
+the offset enter an update. A row with one observed entry (every
+univariate and every per-latent step) takes a closed form: s = H P' H^T
++ r must be finite and positive, K = P' H^T / s, and the log-likelihood
+needs no factorization. More observed entries need a finite S with
+cond(S) <= 1e12, solve for K and factor S by Cholesky for the joint
+log-likelihood. A failed check raises ``NumericalError``.
 
 Every filtering pass in the package, training and scoring alike, runs
 through one gated loop, ``_filter_steps``. It owns the timestamp check,
 the accepted-time anchor, the transition caches, predict, update and
-the step log-likelihood, and the robust gate. The loop carries its
-state as a list of blocks in one of two layouts:
+the step log-likelihood, and the robust gate. It carries each block's
+state as plain ``(mean, cov)`` arrays; only the public :func:`predict`,
+:func:`update`, :func:`robust_filter` and :func:`rts_smooth` build
+:class:`GaussianState` objects. The blocks come in one of two layouts:
 
 ``stacked``
     One block whose observation model reads the raw row; used by
@@ -35,10 +44,7 @@ The robust gate scores each point on its predictive likelihood and
 absorbs it only above ``log(rho)``, jointly or per dimension, so
 outliers cannot drag the posterior. The elapsed time for the next
 transition always refers back to the most recently *accepted* point.
-
-Missing values are handled by row-masking the observation model: only
-the observed rows of H, R and the offset participate in an update. A
-fully missing observation leaves the state untouched.
+A fully missing observation leaves the state untouched.
 """
 
 from __future__ import annotations
@@ -52,7 +58,7 @@ import numpy as np
 from scipy.linalg import block_diag, solve_triangular
 
 from .errors import InputError, NumericalError, ParameterError
-from .kernels import DiscretizedTransition, StateSpaceKernel, add, discretize
+from .kernels import DiscretizedTransition, StateSpaceKernel, _sym, add, discretize
 
 __all__ = [
     "GaussianState",
@@ -99,10 +105,6 @@ class TransitionCache:
             trans = discretize(self._kernel, dt)
             self._store[dt] = trans
         return trans
-
-
-def _sym(m: np.ndarray) -> np.ndarray:
-    return (m + m.T) / 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,12 +192,48 @@ class FilterStepResult:
     accepted: bool
 
 
+class _Belief(NamedTuple):
+    """A Gaussian belief as plain arrays: the state the filter loop carries."""
+
+    mean: np.ndarray
+    cov: np.ndarray
+
+
+def _predict(state, transition: DiscretizedTransition) -> _Belief:
+    A = transition.A
+    return _Belief(A @ state.mean, _sym(A @ state.cov @ A.T + transition.Q))
+
+
+def _update(state, y: np.ndarray, obs: LinearObservationModel, observed: np.ndarray | None,
+            n_obs: int):
+    """``(belief, innovation, innovation_cov)`` from the ``n_obs >= 1`` finite
+    entries of ``y`` where ``observed`` is True, all when ``n_obs`` is the output count."""
+    H, r, offset = obs.H, obs.R, obs.offset
+    if n_obs < r.size:
+        H, r, offset, y = H[observed], r[observed], offset[observed], y[observed]
+    v = y - (H @ state.mean + offset)
+    P = state.cov
+    HP = H @ P
+    if n_obs == 1:
+        S = HP @ H.T + r
+        s = S[0, 0]
+        if not 0.0 < s < math.inf:
+            raise NumericalError(f"innovation variance {s:g} is not positive and finite")
+        gain = (HP * (1.0 / s)).T
+    else:
+        S = _sym(HP @ H.T + np.diag(r))
+        if not np.isfinite(S).all() or np.linalg.cond(S) > _COND_LIMIT:
+            raise NumericalError(f"innovation covariance is non-finite or cond > {_COND_LIMIT:.0e}")
+        gain = np.linalg.solve(S, HP).T
+    mean = state.mean + gain @ v
+    ikh = np.eye(P.shape[0]) - gain @ H
+    cov = _sym(ikh @ P @ ikh.T + (gain * r) @ gain.T)
+    return _Belief(mean, cov), v, S
+
+
 def predict(state: GaussianState, transition: DiscretizedTransition) -> GaussianState:
     """Propagate the belief through one discretized transition."""
-    A, Q = transition.A, transition.Q
-    mean = A @ state.mean
-    cov = _sym(A @ state.cov @ A.T + Q)
-    return GaussianState(mean, cov)
+    return GaussianState(*_predict(state, transition))
 
 
 def update(state: GaussianState, y: np.ndarray, obs: LinearObservationModel,
@@ -224,27 +262,12 @@ def update(state: GaussianState, y: np.ndarray, obs: LinearObservationModel,
     D = obs.n_outputs
     if y.shape != (D,):
         raise ParameterError(f"observation must have length {D}, got {y.shape}")
-    if mask is None:
-        mask = np.isfinite(y)
-    else:
-        mask = np.asarray(mask, dtype=bool) & np.isfinite(y)
-    if not mask.any():
+    mask = np.isfinite(y) if mask is None else np.asarray(mask, dtype=bool) & np.isfinite(y)
+    n_obs = np.count_nonzero(mask)
+    if not n_obs:
         return state, np.empty(0), np.empty((0, 0))
-
-    H = obs.H[mask]
-    r = obs.R[mask]
-    v = y[mask] - (H @ state.mean + obs.offset[mask])
-    P = state.cov
-    S = _sym(H @ P @ H.T + np.diag(r))
-    if np.linalg.cond(S) > _COND_LIMIT:
-        raise NumericalError(
-            f"innovation covariance is numerically singular (cond > {_COND_LIMIT:.0e})"
-        )
-    gain = np.linalg.solve(S, H @ P).T
-    mean = state.mean + gain @ v
-    ikh = np.eye(P.shape[0]) - gain @ H
-    cov = _sym(ikh @ P @ ikh.T + (gain * r) @ gain.T)
-    return GaussianState(mean, cov), v, S
+    new, v, S = _update(state, y, obs, mask, n_obs)
+    return GaussianState(*new), v, S
 
 
 def observation_log_likelihood(innovation: np.ndarray, innovation_cov: np.ndarray):
@@ -262,8 +285,8 @@ def observation_log_likelihood(innovation: np.ndarray, innovation_cov: np.ndarra
         return float("nan"), np.empty(0)
     if S.shape != (d, d):
         raise ParameterError(f"innovation covariance must be ({d}, {d}), got {S.shape}")
-    diag = np.diag(S)
-    if np.any(diag <= 0.0):
+    diag = S.diagonal()
+    if (diag <= 0.0).any():
         raise NumericalError("innovation covariance has a nonpositive diagonal entry")
     marginals = -0.5 * (_LOG_2PI + np.log(diag) + v * v / diag)
     if d == 1:
@@ -275,10 +298,6 @@ def observation_log_likelihood(innovation: np.ndarray, innovation_cov: np.ndarra
     alpha = solve_triangular(chol, v, lower=True, check_finite=False)
     joint = -0.5 * (d * _LOG_2PI) - np.log(np.diag(chol)).sum() - 0.5 * float(alpha @ alpha)
     return float(joint), marginals
-
-
-def _initial_state(kernel: StateSpaceKernel) -> GaussianState:
-    return GaussianState(np.zeros(kernel.state_dim), kernel.initial_cov.copy())
 
 
 def _log_threshold(rho: float, log_rho: float | None) -> float:
@@ -335,7 +354,7 @@ def _filter_steps(rows: Iterable, kernels: Sequence[StateSpaceKernel],
     per-dimension innovation: there ``marginals`` is None.
     """
     blocks = list(kernels)
-    states = [_initial_state(k) for k in blocks]
+    states = [_Belief(np.zeros(k.state_dim), k.initial_cov.copy()) for k in blocks]
     caches = [TransitionCache(k) for k in blocks]
     D = obs.n_outputs
     if loading is not None:
@@ -354,14 +373,14 @@ def _filter_steps(rows: Iterable, kernels: Sequence[StateSpaceKernel],
         n_obs = np.count_nonzero(observed)
         if loading is not None and 0 < n_obs < D:
             merged = reduce(add, blocks)
-            states = [GaussianState(np.concatenate([s.mean for s in states]),
-                                    block_diag(*[s.cov for s in states]))]
+            states = [_Belief(np.concatenate([s.mean for s in states]),
+                              block_diag(*[s.cov for s in states]))]
             blocks, caches, loading = [merged], [TransitionCache(merged)], None
 
         if anchor is None:
             predicted = states
         else:
-            predicted = [predict(s, cache.get(t - anchor)) for s, cache in zip(states, caches)]
+            predicted = [_predict(s, cache.get(t - anchor)) for s, cache in zip(states, caches)]
 
         if not n_obs:
             yield _Step(t, y, observed, predicted, predicted, float("nan"), np.full(D, np.nan),
@@ -370,20 +389,19 @@ def _filter_steps(rows: Iterable, kernels: Sequence[StateSpaceKernel],
 
         try:
             if loading is None:
-                candidate, v, S = update(predicted[0], y, obs, observed)
-                marginals = np.full(D, np.nan)
-                joint, marginals[observed] = observation_log_likelihood(v, S)
+                candidate, v, S = _update(predicted[0], y, obs, observed, n_obs)
+                joint, marginals = observation_log_likelihood(v, S)
+                if n_obs < D:
+                    lls, marginals = marginals, np.full(D, np.nan)
+                    marginals[observed] = lls
                 candidates = [candidate]
             else:
                 r = y - obs.offset
                 u = loading.T @ r
-                candidates = []
-                lls = []
-                for k, pred in enumerate(predicted):
-                    candidate, v, S = update(pred, u[k:k + 1], block_obs[k])
-                    candidates.append(candidate)
-                    lls.append(observation_log_likelihood(v, S)[0])
-                joint = sum(lls)
+                updates = [_update(pred, u_k, ob, None, 1)
+                           for pred, u_k, ob in zip(predicted, u[:, None], block_obs)]
+                candidates = [candidate for candidate, _, _ in updates]
+                joint = sum(observation_log_likelihood(v, S)[0] for _, v, S in updates)
                 if perp_dims:
                     perp_sq = max(float(r @ r - u @ u), 0.0)
                     joint += -0.5 * (perp_dims * (_LOG_2PI + math.log(sigma2))
@@ -393,7 +411,7 @@ def _filter_steps(rows: Iterable, kernels: Sequence[StateSpaceKernel],
                 keep = observed & (marginals > log_rho)
                 accepted = bool(keep.any())
                 if accepted and not np.array_equal(keep, observed):
-                    candidates = [update(predicted[0], y, obs, keep)[0]]
+                    candidates = [_update(predicted[0], y, obs, keep, np.count_nonzero(keep))[0]]
             else:
                 accepted = gate is None or joint > log_rho
         except NumericalError as exc:
@@ -458,8 +476,9 @@ def robust_filter(timestamps: Sequence[float], values: np.ndarray,
     rows = zip(map(float, timestamps), values.T, observed)
     for step in _filter_steps(rows, (kernel,), obs, log_rho=log_rho,
                               gate="joint" if robust else None):
-        yield FilterStepResult(step.timestamp, step.predicted[0], step.updated[0],
-                               step.log_likelihood, step.marginals, step.accepted)
+        yield FilterStepResult(step.timestamp, GaussianState(*step.predicted[0]),
+                               GaussianState(*step.updated[0]), step.log_likelihood,
+                               step.marginals, step.accepted)
 
 
 def rts_smooth(filtered: Sequence[GaussianState],
@@ -469,7 +488,7 @@ def rts_smooth(filtered: Sequence[GaussianState],
     Parameters
     ----------
     filtered : sequence of GaussianState, length T
-        Filtering posteriors in time order.
+        Filtering posteriors (anything with ``mean`` and ``cov``) in time order.
     transitions : sequence of DiscretizedTransition, length T - 1
         ``transitions[j]`` maps state j to state j + 1.
 
@@ -489,12 +508,10 @@ def rts_smooth(filtered: Sequence[GaussianState],
     smoothed = [None] * T
     smoothed[-1] = filtered[-1]
     for j in range(T - 2, -1, -1):
-        A, Q = transitions[j].A, transitions[j].Q
         m, P = filtered[j].mean, filtered[j].cov
-        m_pred = A @ m
-        P_pred = _sym(A @ P @ A.T + Q)
+        m_pred, P_pred = _predict(filtered[j], transitions[j])
         try:
-            gain = np.linalg.solve(P_pred, A @ P).T
+            gain = np.linalg.solve(P_pred, transitions[j].A @ P).T
         except np.linalg.LinAlgError:
             raise NumericalError(
                 f"singular predicted covariance in smoothing step {j}"

@@ -146,6 +146,8 @@ class StateSpaceKernel:
             raise ParameterError(f"feedback must be ({L}, {L}), got {F.shape}")
         if h.shape != (L,):
             raise ParameterError(f"emission must have length {L}, got {h.shape}")
+        if not (np.isfinite(F).all() and np.isfinite(h).all()):
+            raise ParameterError("feedback and emission must be finite")
         object.__setattr__(self, "feedback", F)
         object.__setattr__(self, "emission", h)
         if self.stationary:
@@ -154,6 +156,8 @@ class StateSpaceKernel:
             P = _as_readonly(self.stationary_cov)
             if P.shape != (L, L):
                 raise ParameterError(f"stationary covariance must be ({L}, {L}), got {P.shape}")
+            if not np.isfinite(P).all():
+                raise ParameterError("stationary covariance must be finite")
             scale = max(1.0, float(np.abs(P).max()))
             if np.abs(P - P.T).max() > _PSD_TOL * scale:
                 raise ParameterError("stationary covariance must be symmetric")
@@ -212,9 +216,13 @@ def matern32(lengthscale: float, variance: float = 1.0) -> StateSpaceKernel:
     lengthscale = float(lengthscale)
     variance = float(variance)
     lam = math.sqrt(3.0) / lengthscale
-    F = np.array([[0.0, 1.0], [-(lam**2), -2.0 * lam]])
+    try:
+        lam2 = lam**2
+    except OverflowError:
+        raise ParameterError(f"lengthscale {lengthscale!r} overflows lam^2") from None
+    F = np.array([[0.0, 1.0], [-lam2, -2.0 * lam]])
     h = np.array([1.0, 0.0])
-    P = np.diag([variance, lam**2 * variance])
+    P = np.diag([variance, lam2 * variance])
     return StateSpaceKernel(
         state_dim=2,
         feedback=F,

@@ -103,6 +103,13 @@ class TestUpdate:
         with pytest.raises(NumericalError):
             update(state, np.array([1.0, 1.0]), obs)
 
+    @pytest.mark.parametrize("P, r", [([[-0.5]], 0.5), ([[-1.0]], 0.5)])
+    def test_nonpositive_innovation_variance_raises(self, P, r):
+        # s = h P h^T + r is 0, then negative: the closed form must not divide
+        obs = LinearObservationModel(H=[[1.0]], R=[r], offset=[0.0])
+        with pytest.raises(NumericalError):
+            update(GaussianState([0.0], P), np.array([1.0]), obs)
+
     def test_noise_matrix_diagonal_accepted(self):
         obs = LinearObservationModel(H=np.eye(2), R=np.diag([0.5, 0.7]),
                                      offset=np.zeros(2))
@@ -220,6 +227,16 @@ class TestFilter:
         with pytest.raises(ParameterError):
             list(robust_filter([0.0], np.zeros(1), kernel, obs, rho=-3.0))
 
+    @pytest.mark.parametrize("H", [[[1.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]]])
+    def test_nonfinite_innovation_raises_with_time_index(self, H):
+        # The transition of so short a lengthscale overflows, so the second
+        # row's innovation covariance is NaN, on the one-entry and the
+        # matrix path alike.
+        kernel = matern32(lengthscale=1e-150)
+        obs = LinearObservationModel(H=H, R=[0.1] * len(H), offset=np.zeros(len(H)))
+        with pytest.raises(NumericalError, match="time index 1"):
+            list(robust_filter(np.arange(3.0), np.zeros((len(H), 3)), kernel, obs))
+
     def test_log_rho_overrides_rho(self):
         t = np.arange(20.0)
         y = np.zeros(20)
@@ -281,3 +298,46 @@ def test_filter_covariances_stay_psd(data, noise):
     for step in robust_filter(t, np.array(data), kernel, obs, robust=False):
         eigs = np.linalg.eigvalsh(step.updated.cov)
         assert eigs.min() >= -1e-8
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    L=st.integers(1, 6),
+    D=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    r=st.floats(0.01, 10.0),
+)
+def test_one_row_update_matches_dense_formulas(L, D, seed, r):
+    # One observed entry of a D-output model takes the closed form; compare
+    # it with the textbook update through np.linalg.inv and the Gaussian
+    # log-density written out.
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((L, L))
+    P = A @ A.T + 0.1 * np.eye(L)
+    m = rng.standard_normal(L)
+    H = rng.standard_normal((D, L))
+    j = int(rng.integers(D))
+    y = np.full(D, np.nan)
+    y[j] = rng.standard_normal()
+    obs = LinearObservationModel(H=H, R=np.full(D, r), offset=rng.standard_normal(D))
+    new, v, S = update(GaussianState(m, P), y, obs)
+    joint, marginals = observation_log_likelihood(v, S)
+
+    h = H[j:j + 1]
+    innov = y[j] - (h @ m + obs.offset[j])
+    S_ref = h @ P @ h.T + r
+    K = P @ h.T @ np.linalg.inv(S_ref)
+    ikh = np.eye(L) - K @ h
+    mean_ref = m + K @ innov
+    cov_ref = ikh @ P @ ikh.T + r * K @ K.T
+    ll_ref = -0.5 * math.log(2 * math.pi * S_ref[0, 0]) - 0.5 * innov[0] ** 2 / S_ref[0, 0]
+
+    def rel(a, b):
+        return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+    assert rel(S, S_ref) <= 1e-12
+    assert rel(v, innov) <= 1e-12
+    assert rel(new.mean, mean_ref) <= 1e-12
+    assert rel(new.cov, cov_ref) <= 1e-12
+    assert joint == pytest.approx(ll_ref, rel=1e-12)
+    assert marginals[0] == joint

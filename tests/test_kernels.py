@@ -65,8 +65,18 @@ class TestMatern32:
         with pytest.raises(ParameterError):
             matern32(lengthscale=float("nan"))
 
+    @pytest.mark.parametrize("lengthscale, variance", [(1e-160, 1.0), (1e-5, 1e300)])
+    def test_rejects_nonfinite_derived_constants(self, lengthscale, variance):
+        # lam^2 overflows, then lam^2 * variance does
+        with pytest.raises(ParameterError):
+            matern32(lengthscale=lengthscale, variance=variance)
+
 
 class TestCosine:
+    def test_rejects_nonfinite_frequency(self):
+        with pytest.raises(ParameterError):
+            cosine(period=1e-320)
+
     def test_pure_rotation(self):
         k = cosine(period=2.0 * math.pi, variance=1.0)
         trans = discretize(k, 1.0)
