@@ -67,6 +67,9 @@ class LabeledSeries:
         D, T = values.shape
         if t.shape != (T,):
             raise InputError(f"need {T} timestamps for {T} columns, got {t.shape}")
+        if not np.isfinite(t).all():
+            bad = int(np.nonzero(~np.isfinite(t))[0][0])
+            raise InputError(f"timestamps must be finite (index {bad})")
         if T > 1 and not np.all(np.diff(t) > 0.0):
             bad = int(np.nonzero(~(np.diff(t) > 0.0))[0][0]) + 1
             raise InputError(f"timestamps must be strictly increasing (index {bad})")
@@ -362,16 +365,18 @@ def _render_number(x: float) -> str:
 
 def _parse_timestamp(text: str, line_no: int) -> float:
     try:
-        return float(text)
+        t = float(text)
     except ValueError:
-        pass
-    try:
-        stamp = datetime.fromisoformat(text.replace("Z", "+00:00"))
-    except ValueError:
-        raise InputError(f"line {line_no}: bad timestamp {text!r}") from None
-    if stamp.tzinfo is None:
-        stamp = stamp.replace(tzinfo=timezone.utc)
-    return stamp.timestamp()
+        try:
+            stamp = datetime.fromisoformat(text.replace("Z", "+00:00"))
+        except ValueError:
+            raise InputError(f"line {line_no}: bad timestamp {text!r}") from None
+        if stamp.tzinfo is None:
+            stamp = stamp.replace(tzinfo=timezone.utc)
+        t = stamp.timestamp()
+    if not math.isfinite(t):
+        raise InputError(f"line {line_no}: timestamp {text!r} is not finite")
+    return t
 
 
 def read_csv_header(path):

@@ -18,9 +18,9 @@ computed covariance is symmetrized. This arithmetic lives in
 the offset enter an update. A row with one observed entry (every
 univariate and every per-latent step) takes a closed form: s = H P' H^T
 + r must be finite and positive, K = P' H^T / s, and the log-likelihood
-needs no factorization. More observed entries need a finite S with
-cond(S) <= 1e12, solve for K and factor S by Cholesky for the joint
-log-likelihood. A failed check raises ``NumericalError``.
+needs no factorization. More observed entries need a finite S with a
+Cholesky factor, which alone yields K, log|S| and the Mahalanobis term;
+a failed check or factorization raises ``NumericalError``.
 
 Every filtering pass in the package, training and scoring alike, runs
 through one gated loop, ``_filter_steps``. It owns the timestamp check,
@@ -72,10 +72,6 @@ __all__ = [
     "rts_smooth",
     "univariate_observation_model",
 ]
-
-# Condition-number ceiling above which an innovation covariance is
-# treated as singular.
-_COND_LIMIT = 1e12
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -206,8 +202,8 @@ def _predict(state, transition: DiscretizedTransition) -> _Belief:
 
 def _update(state, y: np.ndarray, obs: LinearObservationModel, observed: np.ndarray | None,
             n_obs: int):
-    """``(belief, innovation, innovation_cov)`` from the ``n_obs >= 1`` finite
-    entries of ``y`` where ``observed`` is True, all when ``n_obs`` is the output count."""
+    """Update on the ``n_obs >= 1`` entries of ``y`` where ``observed`` is True (all when ``n_obs``
+    is the output count): ``(belief, innovation, innovation_cov, joint, marginals)``."""
     H, r, offset = obs.H, obs.R, obs.offset
     if n_obs < r.size:
         H, r, offset, y = H[observed], r[observed], offset[observed], y[observed]
@@ -222,13 +218,24 @@ def _update(state, y: np.ndarray, obs: LinearObservationModel, observed: np.ndar
         gain = (HP * (1.0 / s)).T
     else:
         S = _sym(HP @ H.T + np.diag(r))
-        if not np.isfinite(S).all() or np.linalg.cond(S) > _COND_LIMIT:
-            raise NumericalError(f"innovation covariance is non-finite or cond > {_COND_LIMIT:.0e}")
-        gain = np.linalg.solve(S, HP).T
+        if not np.isfinite(S).all():
+            raise NumericalError("innovation covariance is non-finite")
+        try:
+            chol = np.linalg.cholesky(S)
+        except np.linalg.LinAlgError:
+            raise NumericalError("innovation covariance is not positive definite") from None
+        # numpy's inverse of the factor, not scipy's solve_triangular: scipy
+        # wakes its own BLAS thread pool, which stalls numpy's Joseph products.
+        chol_inv = np.linalg.inv(chol)
+        gain = (chol_inv @ HP).T @ chol_inv
+        alpha = chol_inv @ v
+        joint = -0.5 * (n_obs * _LOG_2PI) - np.log(np.diag(chol)).sum() - 0.5 * float(alpha @ alpha)
     mean = state.mean + gain @ v
     ikh = np.eye(P.shape[0]) - gain @ H
     cov = _sym(ikh @ P @ ikh.T + (gain * r) @ gain.T)
-    return _Belief(mean, cov), v, S
+    diag = S.diagonal()
+    marginals = -0.5 * (_LOG_2PI + np.log(diag) + v * v / diag)
+    return _Belief(mean, cov), v, S, float(marginals[0] if n_obs == 1 else joint), marginals
 
 
 def predict(state: GaussianState, transition: DiscretizedTransition) -> GaussianState:
@@ -266,7 +273,7 @@ def update(state: GaussianState, y: np.ndarray, obs: LinearObservationModel,
     n_obs = np.count_nonzero(mask)
     if not n_obs:
         return state, np.empty(0), np.empty((0, 0))
-    new, v, S = _update(state, y, obs, mask, n_obs)
+    new, v, S, _, _ = _update(state, y, obs, mask, n_obs)
     return GaussianState(*new), v, S
 
 
@@ -389,8 +396,7 @@ def _filter_steps(rows: Iterable, kernels: Sequence[StateSpaceKernel],
 
         try:
             if loading is None:
-                candidate, v, S = _update(predicted[0], y, obs, observed, n_obs)
-                joint, marginals = observation_log_likelihood(v, S)
+                candidate, _, _, joint, marginals = _update(predicted[0], y, obs, observed, n_obs)
                 if n_obs < D:
                     lls, marginals = marginals, np.full(D, np.nan)
                     marginals[observed] = lls
@@ -400,8 +406,8 @@ def _filter_steps(rows: Iterable, kernels: Sequence[StateSpaceKernel],
                 u = loading.T @ r
                 updates = [_update(pred, u_k, ob, None, 1)
                            for pred, u_k, ob in zip(predicted, u[:, None], block_obs)]
-                candidates = [candidate for candidate, _, _ in updates]
-                joint = sum(observation_log_likelihood(v, S)[0] for _, v, S in updates)
+                candidates = [step[0] for step in updates]
+                joint = sum(step[3] for step in updates)
                 if perp_dims:
                     perp_sq = max(float(r @ r - u @ u), 0.0)
                     joint += -0.5 * (perp_dims * (_LOG_2PI + math.log(sigma2))

@@ -151,6 +151,8 @@ class SsgpfaModel:
             raise ParameterError(f"noise diagonal must have length {D}, got {noise.shape}")
         if not np.all(np.isfinite(noise)) or not np.all(noise > 0.0):
             raise ParameterError("noise variances must be positive and finite")
+        if not (np.isfinite(C).all() and np.isfinite(offset).all()):
+            raise ParameterError("loading and offset must be finite")
         if self.mode == "orthogonal":
             gram_gap = np.linalg.norm(C.T @ C - np.eye(K))
             if gram_gap > 1e-8:
@@ -165,6 +167,8 @@ class SsgpfaModel:
                 v = np.array(v, dtype=float)
                 if v.shape != (D,):
                     raise ParameterError(f"{name} must have length {D}, got {v.shape}")
+                if not np.isfinite(v).all():
+                    raise ParameterError(f"{name} must be finite")
                 object.__setattr__(self, name, v)
         if self.input_std is not None and not np.all(self.input_std > 0.0):
             raise ParameterError("input_std entries must be positive")

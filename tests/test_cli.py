@@ -183,6 +183,20 @@ class TestScore:
                            "--model", str(model_path))
         assert code == 2
 
+    def test_nonfinite_model_parameter_exit_code(self, tmp_path, capsys, univariate_csv):
+        # The model file is input from outside: a NaN in it is a usage error,
+        # not a run that scores NaN on every row.
+        model_path = tmp_path / "m.json"
+        quick_model(model_path, univariate_csv)
+        doc = json.loads(model_path.read_text())
+        doc["loading"][0][0] = math.nan
+        model_path.write_text(json.dumps(doc))
+        out_path = tmp_path / "scores.csv"
+        code, _, _ = run(capsys, "score", "--input", str(univariate_csv),
+                         "--model", str(model_path), "--output", str(out_path))
+        assert code == 2
+        assert not out_path.exists()
+
     def test_rho_and_log_rho_mutually_exclusive(self, tmp_path, univariate_csv):
         with pytest.raises(SystemExit) as exc:
             cli.main(["score", "--input", str(univariate_csv),

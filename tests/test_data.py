@@ -39,6 +39,11 @@ class TestLabeledSeries:
         with pytest.raises(InputError, match="index 1"):
             LabeledSeries([0.0, 0.0], [[1.0, 2.0]])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_timestamps_must_be_finite(self, bad):
+        with pytest.raises(InputError, match=r"finite \(index 1\)"):
+            LabeledSeries([0.0, bad, 2.0], [[1.0, 2.0, 3.0]])
+
     def test_mask_defaults_to_finite(self):
         s = LabeledSeries([0.0, 1.0], [[1.0, np.nan]])
         np.testing.assert_array_equal(s.mask, [[True, False]])
@@ -263,6 +268,17 @@ class TestCsv:
         p.write_text("timestamp,dim_0\n2,0.5\n1,0.5\n")
         with pytest.raises(InputError, match="increasing"):
             load_csv(p)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_nonfinite_timestamp_names_its_line(self, tmp_path, bad):
+        # NaN compares False with its neighbours, so the increasing check
+        # alone would blame the next line; inf would pass it.
+        p = tmp_path / "x.csv"
+        p.write_text(f"timestamp,dim_0\n1,0.5\n{bad},0.5\n3,0.5\n")
+        with pytest.raises(InputError, match=f"line 3: timestamp '{bad}' is not finite"):
+            load_csv(p)
+        with pytest.raises(InputError, match="line 3"):
+            list(iter_csv_rows(p))
 
     def test_bad_headers_rejected(self, tmp_path):
         p = tmp_path / "x.csv"

@@ -22,6 +22,7 @@ from ssgpfa import (
     univariate_observation_model,
     update,
 )
+from ssgpfa import kalman
 from ssgpfa.kernels import DiscretizedTransition
 
 
@@ -341,3 +342,92 @@ def test_one_row_update_matches_dense_formulas(L, D, seed, r):
     assert rel(new.cov, cov_ref) <= 1e-12
     assert joint == pytest.approx(ll_ref, rel=1e-12)
     assert marginals[0] == joint
+
+
+def dense_update(m, P, H, R, y, offset):
+    """Textbook update and Gaussian log-densities through np.linalg.inv and
+    np.linalg.slogdet: (mean, cov, joint, marginals, scale of the joint's terms)."""
+    v = y - (H @ m + offset)
+    S = H @ P @ H.T + np.diag(R)
+    S_inv = np.linalg.inv(S)
+    K = P @ H.T @ S_inv
+    ikh = np.eye(len(m)) - K @ H
+    sign, logdet = np.linalg.slogdet(S)
+    assert sign > 0
+    terms = np.array([v.size * math.log(2 * math.pi), logdet, v @ S_inv @ v])
+    marginals = -0.5 * (np.log(2 * math.pi * np.diag(S)) + v ** 2 / np.diag(S))
+    return (m + K @ v, ikh @ P @ ikh.T + K @ np.diag(R) @ K.T, -0.5 * terms.sum(), marginals,
+            np.abs(terms).sum())
+
+
+def close(a, b, rtol):
+    """Norm-relative closeness; exact when ``b`` is zero, as a Brownian
+    latent's covariance is at the start of a stream."""
+    return np.linalg.norm(a - b) <= rtol * np.linalg.norm(b)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    L=st.integers(1, 6),
+    D=st.integers(2, 5),
+    seed=st.integers(0, 2**32 - 1),
+    R=st.lists(st.floats(1e-3, 10.0), min_size=5, max_size=5),
+    brownian_start=st.booleans(),
+)
+def test_stacked_update_matches_dense_formulas(L, D, seed, R, brownian_start):
+    # Two or more observed entries take one Cholesky factor of S. A zero
+    # row and column of P is a Brownian latent at the start of a stream.
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((L, L))
+    P = A @ A.T + 0.1 * np.eye(L)
+    if brownian_start:
+        j = rng.integers(L)
+        P[j, :] = P[:, j] = 0.0
+    m = rng.standard_normal(L)
+    H = rng.standard_normal((D, L))
+    R = np.array(R[:D])
+    observed = np.zeros(D, dtype=bool)
+    observed[rng.choice(D, size=rng.integers(2, D + 1), replace=False)] = True
+    y = np.where(observed, rng.standard_normal(D), np.nan)
+    obs = LinearObservationModel(H=H, R=R, offset=rng.standard_normal(D))
+    new, v, S, joint, marginals = kalman._update(kalman._Belief(m, P), y, obs, observed,
+                                                 np.count_nonzero(observed))
+
+    mean_ref, cov_ref, joint_ref, marginals_ref, scale = dense_update(
+        m, P, H[observed], R[observed], y[observed], obs.offset[observed])
+    assert close(new.mean, mean_ref, 1e-10)
+    assert close(new.cov, cov_ref, 1e-10)
+    assert abs(joint - joint_ref) <= 1e-10 * scale
+    np.testing.assert_allclose(marginals, marginals_ref, rtol=1e-10)
+    joint_oll, marginals_oll = observation_log_likelihood(v, S)
+    assert joint == pytest.approx(joint_oll, rel=1e-12)
+    np.testing.assert_allclose(marginals, marginals_oll, rtol=1e-12)
+
+
+def test_stacked_update_accepts_stuck_sensor():
+    # A sensor that reads none of the state, with its noise at the M-step's
+    # 1e-12 floor: S is positive definite with cond(S) > 1e12. The stacked
+    # update must equal absorbing the entries one at a time.
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((3, 3))
+    P = A @ A.T + 0.1 * np.eye(3)
+    m = rng.standard_normal(3)
+    H = rng.standard_normal((4, 3))
+    H[1] = 0.0
+    obs = LinearObservationModel(H=H, R=[0.5, 1e-12, 0.3, 0.8], offset=np.zeros(4))
+    y = np.array([0.4, 1e-6, -1.2, 0.7])
+    new, v, S = update(GaussianState(m, P), y, obs)
+    assert np.linalg.cond(S) > 1e12
+    _, _, _, joint, marginals = kalman._update(GaussianState(m, P), y, obs, None, 4)
+    joint_oll, marginals_oll = observation_log_likelihood(v, S)
+    assert joint == pytest.approx(joint_oll, rel=1e-12)
+    np.testing.assert_allclose(marginals, marginals_oll, rtol=1e-12)
+
+    state, seq_joint = GaussianState(m, P), 0.0
+    for j in range(4):
+        state, v_j, S_j = update(state, y, obs, np.arange(4) == j)
+        seq_joint += observation_log_likelihood(v_j, S_j)[0]
+    assert close(new.mean, state.mean, 1e-10)
+    assert close(new.cov, state.cov, 1e-10)
+    assert joint == pytest.approx(seq_joint, rel=1e-10)
+    assert np.isfinite(joint)

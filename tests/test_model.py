@@ -93,6 +93,21 @@ class TestModelValidation:
             toy_model(orthonormal(3, 2), noise=[0.1, 5.0, 9.0])
         toy_model(orthonormal(3, 2), noise=[0.1, 5.0, 9.0], mode="unconstrained")
 
+    @pytest.mark.parametrize("mode", ["orthogonal", "unconstrained"])
+    @pytest.mark.parametrize("field", ["loading", "offset", "input_mean", "input_std"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_parameters_rejected(self, field, bad, mode):
+        # NaN compares False with every bound, so it would slip past the
+        # orthonormality check (NaN > 1e-8) and score NaN on every row.
+        fields = dict(loading=orthonormal(3, 2), offset=np.zeros(3),
+                      input_mean=np.zeros(3), input_std=np.ones(3))
+        fields[field] = fields[field].copy()
+        fields[field].flat[0] = bad
+        with pytest.raises(ParameterError, match="must be finite"):
+            SsgpfaModel((matern32(5.0), matern32(9.0)), fields["loading"], fields["offset"],
+                        0.1, mode=mode, input_mean=fields["input_mean"],
+                        input_std=fields["input_std"])
+
 
 class TestEStep:
     def test_parallel_matches_joint_filter(self):
@@ -619,6 +634,21 @@ class TestTrainSeries:
         assert model.n_dims == 5
         assert model.n_latents == 4  # default kernel bank size
         assert model.mode == "orthogonal"
+
+    def test_unconstrained_training_with_stuck_sensor(self):
+        # A constant dimension drives its M-step noise to the 1e-12 floor,
+        # so S is positive definite with a condition number far above 1e12.
+        kernels = [matern32(10.0), matern32(30.0)]
+        series, _, _ = gen_multivariate(SyntheticSpec(length=150, seed=3), n_dims=6,
+                                        kernels=kernels)
+        values = series.values.copy()
+        values[2] = 1.5
+        with pytest.warns(UserWarning, match="dimension 2 has zero variance"):
+            model = train_series(LabeledSeries(series.timestamps, values), kernels=kernels,
+                                 mode="unconstrained", max_iters=5)
+        assert model.noise[2] == 1e-12
+        scores = [p.score for p in score_online(model, LabeledSeries(series.timestamps, values))]
+        assert np.isfinite(scores).all()
 
     def test_standardization_applied_before_scoring(self):
         # raw-scale stream must reproduce the scaled-space scores
