@@ -363,19 +363,19 @@ def _render_number(x: float) -> str:
     return repr(float(x))
 
 
-def _parse_timestamp(text: str, line_no: int) -> float:
+def _parse_timestamp(text: str, path, line_no: int) -> float:
     try:
         t = float(text)
     except ValueError:
         try:
             stamp = datetime.fromisoformat(text.replace("Z", "+00:00"))
         except ValueError:
-            raise InputError(f"line {line_no}: bad timestamp {text!r}") from None
+            raise InputError(f"{path}: line {line_no}: bad timestamp {text!r}") from None
         if stamp.tzinfo is None:
             stamp = stamp.replace(tzinfo=timezone.utc)
         t = stamp.timestamp()
     if not math.isfinite(t):
-        raise InputError(f"line {line_no}: timestamp {text!r} is not finite")
+        raise InputError(f"{path}: line {line_no}: timestamp {text!r} is not finite")
     return t
 
 
@@ -423,7 +423,7 @@ def iter_csv_rows(path):
                 raise InputError(
                     f"{path}: line {line_no}: expected {n_cols} fields, got {len(fields)}"
                 )
-            t = _parse_timestamp(fields[0], line_no)
+            t = _parse_timestamp(fields[0], path, line_no)
             if prev_t is not None and not t > prev_t:
                 raise InputError(
                     f"{path}: line {line_no}: timestamps must be strictly increasing"

@@ -9,9 +9,10 @@ One rule, :func:`_projection`, picks the projection for every caller.
 An orthogonal model on a fully observed row projects with the plain
 transpose C^T. Otherwise the projection is the pseudoinverse of the
 observed rows of C: the least-squares, minimum-norm map, which mixes
-latents. :func:`project_latents` warns when it is called on a
-non-orthogonal model; online scoring uses the same rule without the
-warning.
+latents. It is solved from a Cholesky factor of the K x K Gram of those
+rows, and by an SVD only when their columns are (nearly) dependent.
+:func:`project_latents` warns when it is called on a non-orthogonal
+model; online scoring uses the same rule without the warning.
 
 The reconstruction error ||(y - d) - C v|| measures how far the
 observation lies outside the latent subspace altogether; offsets and
@@ -31,6 +32,12 @@ __all__ = ["project_latents", "scalar_nll", "reconstruction_error"]
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
+# Below this sine of the angle between an observed loading column and
+# the span of the columns before it, the projection takes the SVD
+# pseudoinverse: the Gram's Cholesky factor loses accuracy as sine^-2,
+# and meets exact dependence at about sqrt(machine epsilon).
+_MIN_SINE = 1e-3
+
 
 def _projection(model, observed: np.ndarray):
     """The map M from the residuals y - d on the observed rows to latent
@@ -38,12 +45,25 @@ def _projection(model, observed: np.ndarray):
     that each coordinate carries.
 
     M is C^T (noise sigma^2) for an orthogonal model on a fully observed
-    row, otherwise the pseudoinverse of the observed rows of C.
+    row, otherwise the pseudoinverse of the observed rows C_o of C:
+    (C_o^T C_o)^-1 C_o^T from a Cholesky factor of the Gram while the
+    factor's diagonal shows independent columns, ``np.linalg.pinv``
+    otherwise.
     """
     C = model.loading
     if model.mode == "orthogonal" and observed.all():
         return C.T, np.full(C.shape[1], model.noise[0])
-    M = np.linalg.pinv(C[observed])
+    C_obs = C[observed]
+    gram = C_obs.T @ C_obs
+    try:
+        chol = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        chol = None
+    if chol is not None and (chol.diagonal() > _MIN_SINE * np.sqrt(gram.diagonal())).all():
+        chol_inv = np.linalg.inv(chol)
+        M = chol_inv.T @ (chol_inv @ C_obs.T)
+    else:
+        M = np.linalg.pinv(C_obs)
     return M, np.einsum("kd,d,kd->k", M, model.noise[observed], M)
 
 

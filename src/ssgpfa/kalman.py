@@ -45,6 +45,11 @@ absorbs it only above ``log(rho)``, jointly or per dimension, so
 outliers cannot drag the posterior. The elapsed time for the next
 transition always refers back to the most recently *accepted* point.
 A fully missing observation leaves the state untouched.
+
+One pass keeps a loop of its own: :func:`log_likelihood_gradient`, the
+ungated one-output pass that fits univariate hyperparameters. It calls
+``_predict`` and ``_update`` like every other pass and carries the
+state's derivatives with respect to the hyperparameters beside them.
 """
 
 from __future__ import annotations
@@ -55,10 +60,10 @@ from functools import reduce
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import block_diag, solve_triangular
 
 from .errors import InputError, NumericalError, ParameterError
-from .kernels import DiscretizedTransition, StateSpaceKernel, _sym, add, discretize
+from .kernels import (DiscretizedTransition, StateSpaceKernel, _block_diag, _sym, _walk, add,
+                      discretize)
 
 __all__ = [
     "GaussianState",
@@ -69,6 +74,7 @@ __all__ = [
     "update",
     "observation_log_likelihood",
     "robust_filter",
+    "log_likelihood_gradient",
     "rts_smooth",
     "univariate_observation_model",
 ]
@@ -82,15 +88,17 @@ class TransitionCache:
     Regularly spaced streams hit a single entry forever. A sustained
     rejection streak mints a new step length every point, so on
     overflow the store is dropped wholesale; the hot entries repopulate
-    on the next accepted step.
+    on the next accepted step. With ``grad`` the transitions carry their
+    parameter derivatives.
     """
 
     MAX_ENTRIES = 512
 
-    __slots__ = ("_kernel", "_store")
+    __slots__ = ("_kernel", "_grad", "_store")
 
-    def __init__(self, kernel: StateSpaceKernel):
+    def __init__(self, kernel: StateSpaceKernel, grad: bool = False):
         self._kernel = kernel
+        self._grad = grad
         self._store: dict[float, DiscretizedTransition] = {}
 
     def get(self, dt: float) -> DiscretizedTransition:
@@ -98,7 +106,7 @@ class TransitionCache:
         if trans is None:
             if len(self._store) >= self.MAX_ENTRIES:
                 self._store.clear()
-            trans = discretize(self._kernel, dt)
+            trans = discretize(self._kernel, dt, grad=self._grad)
             self._store[dt] = trans
         return trans
 
@@ -149,8 +157,8 @@ class LinearObservationModel:
             raise ParameterError(f"noise diagonal must have length {D}, got {R.shape}")
         if offset.shape != (D,):
             raise ParameterError(f"offset must have length {D}, got {offset.shape}")
-        if not np.all(R > 0.0):
-            raise ParameterError("observation noise variances must be positive")
+        if not (np.isfinite(R).all() and (R > 0.0).all()):
+            raise ParameterError("observation noise variances must be positive and finite")
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "offset", offset)
@@ -203,7 +211,7 @@ def _predict(state, transition: DiscretizedTransition) -> _Belief:
 def _update(state, y: np.ndarray, obs: LinearObservationModel, observed: np.ndarray | None,
             n_obs: int):
     """Update on the ``n_obs >= 1`` entries of ``y`` where ``observed`` is True (all when ``n_obs``
-    is the output count): ``(belief, innovation, innovation_cov, joint, marginals)``."""
+    is the output count): ``(belief, innovation, innovation_cov, gain, joint, marginals)``."""
     H, r, offset = obs.H, obs.R, obs.offset
     if n_obs < r.size:
         H, r, offset, y = H[observed], r[observed], offset[observed], y[observed]
@@ -235,7 +243,7 @@ def _update(state, y: np.ndarray, obs: LinearObservationModel, observed: np.ndar
     cov = _sym(ikh @ P @ ikh.T + (gain * r) @ gain.T)
     diag = S.diagonal()
     marginals = -0.5 * (_LOG_2PI + np.log(diag) + v * v / diag)
-    return _Belief(mean, cov), v, S, float(marginals[0] if n_obs == 1 else joint), marginals
+    return _Belief(mean, cov), v, S, gain, float(marginals[0] if n_obs == 1 else joint), marginals
 
 
 def predict(state: GaussianState, transition: DiscretizedTransition) -> GaussianState:
@@ -273,7 +281,7 @@ def update(state: GaussianState, y: np.ndarray, obs: LinearObservationModel,
     n_obs = np.count_nonzero(mask)
     if not n_obs:
         return state, np.empty(0), np.empty((0, 0))
-    new, v, S, _, _ = _update(state, y, obs, mask, n_obs)
+    new, v, S, _, _, _ = _update(state, y, obs, mask, n_obs)
     return GaussianState(*new), v, S
 
 
@@ -302,7 +310,7 @@ def observation_log_likelihood(innovation: np.ndarray, innovation_cov: np.ndarra
         chol = np.linalg.cholesky(S)
     except np.linalg.LinAlgError:
         raise NumericalError("innovation covariance is not positive definite") from None
-    alpha = solve_triangular(chol, v, lower=True, check_finite=False)
+    alpha = np.linalg.inv(chol) @ v
     joint = -0.5 * (d * _LOG_2PI) - np.log(np.diag(chol)).sum() - 0.5 * float(alpha @ alpha)
     return float(joint), marginals
 
@@ -381,7 +389,7 @@ def _filter_steps(rows: Iterable, kernels: Sequence[StateSpaceKernel],
         if loading is not None and 0 < n_obs < D:
             merged = reduce(add, blocks)
             states = [_Belief(np.concatenate([s.mean for s in states]),
-                              block_diag(*[s.cov for s in states]))]
+                              _block_diag(*[s.cov for s in states]))]
             blocks, caches, loading = [merged], [TransitionCache(merged)], None
 
         if anchor is None:
@@ -396,7 +404,8 @@ def _filter_steps(rows: Iterable, kernels: Sequence[StateSpaceKernel],
 
         try:
             if loading is None:
-                candidate, _, _, joint, marginals = _update(predicted[0], y, obs, observed, n_obs)
+                candidate, _, _, _, joint, marginals = _update(predicted[0], y, obs, observed,
+                                                               n_obs)
                 if n_obs < D:
                     lls, marginals = marginals, np.full(D, np.nan)
                     marginals[observed] = lls
@@ -407,7 +416,7 @@ def _filter_steps(rows: Iterable, kernels: Sequence[StateSpaceKernel],
                 updates = [_update(pred, u_k, ob, None, 1)
                            for pred, u_k, ob in zip(predicted, u[:, None], block_obs)]
                 candidates = [step[0] for step in updates]
-                joint = sum(step[3] for step in updates)
+                joint = sum(step[4] for step in updates)
                 if perp_dims:
                     perp_sq = max(float(r @ r - u @ u), 0.0)
                     joint += -0.5 * (perp_dims * (_LOG_2PI + math.log(sigma2))
@@ -485,6 +494,74 @@ def robust_filter(timestamps: Sequence[float], values: np.ndarray,
         yield FilterStepResult(step.timestamp, GaussianState(*step.predicted[0]),
                                GaussianState(*step.updated[0]), step.log_likelihood,
                                step.marginals, step.accepted)
+
+
+def log_likelihood_gradient(timestamps: Sequence[float], values: np.ndarray,
+                            kernel: StateSpaceKernel, noise_variance: float):
+    """Log-likelihood of a one-output series and its exact gradient.
+
+    The value is the summed step log-likelihood of an ungated filtering
+    pass, from the same ``_predict``/``_update`` arithmetic as
+    ``robust_filter(..., robust=False)``, so the two agree bit for bit.
+    The gradient is with respect to the logs of the kernel's leaf
+    parameters, in the order of the tree's leaves and each leaf's in
+    constructor order, and last of the noise variance. It comes from the
+    forward sensitivities dm/dtheta and dP/dtheta, carried as
+    ``(n_theta, L)`` and ``(n_theta, L, L)`` arrays (Gupta & Mehra, IEEE
+    TAC 1974): through each prediction by the closed-form dA/dtheta and
+    dQ/dtheta, and through each update by the Joseph form, whose terms in
+    the gain's derivative vanish at the optimal gain. A NaN value is
+    missing: it skips the update and keeps the accepted-time anchor, as
+    in the filter.
+
+    Returns ``(log_likelihood, gradient)``.
+    """
+    t = np.asarray(timestamps, dtype=float)
+    y = np.asarray(values, dtype=float).reshape(-1)
+    if t.shape != y.shape:
+        raise ParameterError(f"need one timestamp per value, got {t.size} for {y.size}")
+    if not (np.diff(t) > 0.0).all():
+        raise InputError("timestamps must be strictly increasing")
+    obs = univariate_observation_model(kernel, noise_variance)
+    h = obs.H[0]
+    eye = np.eye(kernel.state_dim)
+    cache = TransitionCache(kernel, grad=True)
+    state = _Belief(np.zeros(kernel.state_dim), kernel.initial_cov.copy())
+    dP0 = _walk(kernel, 0.0, True, need_q=False).dP0
+    dP = np.concatenate([dP0, np.zeros((1, *eye.shape))])
+    dm = np.zeros(dP.shape[:2])
+    dr = np.zeros(dP.shape[0])
+    dr[-1] = obs.R[0]  # d r / d log r
+    total = 0.0
+    grad = np.zeros(dP.shape[0])
+    anchor = None
+    for i, (t_i, y_i) in enumerate(zip(t.tolist(), y[:, None])):
+        if not math.isfinite(y_i[0]):
+            continue
+        if anchor is not None:
+            trans = cache.get(t_i - anchor)
+            A, dA = trans.A, trans.dA
+            dAPA = dA @ (state.cov @ A.T)
+            dm = dm @ A.T
+            dm[:-1] += dA @ state.mean  # the noise variance, last, leaves A and Q alone
+            dP = A @ dP @ A.T
+            dP[:-1] += dAPA + dAPA.transpose(0, 2, 1) + trans.dQ
+            state = _predict(state, trans)
+        try:
+            posterior, v, S, gain, ll, _ = _update(state, y_i, obs, None, 1)
+        except NumericalError as exc:
+            raise NumericalError(f"time index {i}: {exc}") from None
+        s, v, k = S[0, 0], v[0], gain[:, 0]
+        dPh = dP @ h
+        dv = -(dm @ h)
+        ds = dPh @ h + dr
+        grad -= 0.5 * (ds + (2.0 * v * dv - v * v * ds / s)) / s
+        dm = dm + np.outer(dv, k) + (dPh - np.outer(ds, k)) * (v / s)
+        ikh = eye - np.outer(k, h)
+        dP = ikh @ dP @ ikh.T + dr[:, None, None] * np.outer(k, k)
+        total += ll
+        state, anchor = posterior, t_i
+    return total, grad
 
 
 def rts_smooth(filtered: Sequence[GaussianState],

@@ -15,30 +15,39 @@ recursions, using the discrete transition pair
 with P_inf the stationary state covariance. Nonstationary kernels carry
 their own process-noise rule instead of P_inf.
 
-Supported base kernels:
+Supported base kernels, each with its transition in closed form:
 
 ``matern32(lengthscale, variance)``
     F = [[0, 1], [-lam^2, -2 lam]], h = [1, 0], lam = sqrt(3)/lengthscale,
     P_inf = diag(variance, lam^2 variance),
-    k(tau) = variance (1 + lam tau) exp(-lam tau).
+    k(tau) = variance (1 + lam tau) exp(-lam tau),
+    A(dt) = exp(-lam dt) [[1 + lam dt, dt], [-lam^2 dt, 1 - lam dt]].
 
 ``cosine(period, variance)``
     F = [[0, -w], [w, 0]], h = [1, 0], w = 2 pi / period,
     P_inf = variance I, k(tau) = variance cos(w tau). The transition is a
-    pure rotation, so Q(dt) = 0.
+    rotation by w dt, so Q(dt) = 0.
 
 ``brownian(diffusion)``
-    F = [0], h = [1], Q(dt) = diffusion * dt, state variance 0 at the
-    start of a stream. Nonstationary.
+    F = [0], h = [1], A(dt) = [1], Q(dt) = diffusion * dt, state variance
+    0 at the start of a stream. Nonstationary.
 
 Kernels combine under ``+`` (block stacking) and ``*`` (Kronecker sum of
 feedbacks, Kronecker product of emissions and stationary covariances;
-both operands must be stationary). Every kernel is a node of an
-expression tree: a base kernel is a leaf carrying its named parameters,
-and a sum or product keeps its two operands. The tree is the only
-kernel representation. One printer renders it as the canonical
-``expression``, and ``parse_kernel`` reads the same algebra back from
-strings such as
+both operands must be stationary). The transition of a sum is the
+block-diagonal of its operands' transitions, and that of a product is
+their Kronecker product, because the two terms of a Kronecker sum
+commute. One walk of the tree, :func:`_walk`, builds A(dt) this way for
+:func:`discretize` and :func:`prior_covariance`; when asked it also
+returns the derivatives of A, Q and the initial covariance with respect
+to the logs of the leaf parameters, which give the exact likelihood
+gradient of :func:`ssgpfa.kalman.log_likelihood_gradient`.
+
+Every kernel is a node of an expression tree: a base kernel is a leaf
+carrying its named parameters, and a sum or product keeps its two
+operands. The tree is the only kernel representation. One printer
+renders it as the canonical ``expression``, and ``parse_kernel`` reads
+the same algebra back from strings such as
 ``"brownian(diffusion=0.1) + matern32(lengthscale=50, variance=1) * cosine(period=24, variance=1)"``.
 """
 
@@ -47,12 +56,11 @@ from __future__ import annotations
 import ast
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
-import scipy.linalg
 
-from .errors import ConfigError, ParameterError, UnsupportedKernelError
+from .errors import ConfigError, NumericalError, ParameterError, UnsupportedKernelError
 
 __all__ = [
     "StateSpaceKernel",
@@ -63,7 +71,6 @@ __all__ = [
     "add",
     "multiply",
     "discretize",
-    "matrix_exponential",
     "prior_covariance",
     "parse_kernel",
 ]
@@ -82,14 +89,34 @@ def _sym(m: np.ndarray) -> np.ndarray:
     return (m + m.T) / 2.0
 
 
+def _block_diag(*blocks: np.ndarray) -> np.ndarray:
+    """Block-diagonal matrix of square blocks."""
+    n = sum(b.shape[0] for b in blocks)
+    out = np.zeros((n, n))
+    lo = 0
+    for b in blocks:
+        hi = lo + b.shape[0]
+        out[lo:hi, lo:hi] = b
+        lo = hi
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class DiscretizedTransition:
     """Transition pair for one time step: A = expm(F dt) and the
-    accumulated process noise Q over that step."""
+    accumulated process noise Q over that step.
+
+    ``dA`` and ``dQ`` are None unless asked for: then they hold the
+    derivatives of A and Q with respect to the logs of the kernel's leaf
+    parameters, stacked as ``(n_params, L, L)`` in the order of the
+    tree's leaves, each leaf's in constructor order.
+    """
 
     A: np.ndarray
     Q: np.ndarray
     dt: float
+    dA: np.ndarray | None = None
+    dQ: np.ndarray | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,8 +162,6 @@ class StateSpaceKernel:
     params: dict
     kind: str
     parts: tuple = field(default=None, repr=False)
-    # Q(dt) rule for a nonstationary base kernel.
-    noise_fn: Callable[[float], np.ndarray] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         L = self.state_dim
@@ -277,7 +302,6 @@ def brownian(diffusion: float) -> StateSpaceKernel:
         initial_cov=np.zeros((1, 1)),
         params={"diffusion": diffusion},
         kind="brownian",
-        noise_fn=lambda dt, q=diffusion: np.array([[q * dt]]),
     )
 
 
@@ -286,14 +310,14 @@ def add(k1: StateSpaceKernel, k2: StateSpaceKernel) -> StateSpaceKernel:
     _check_kernel(k1)
     _check_kernel(k2)
     stationary = k1.stationary and k2.stationary
-    P = scipy.linalg.block_diag(k1.stationary_cov, k2.stationary_cov) if stationary else None
+    P = _block_diag(k1.stationary_cov, k2.stationary_cov) if stationary else None
     return StateSpaceKernel(
         state_dim=k1.state_dim + k2.state_dim,
-        feedback=scipy.linalg.block_diag(k1.feedback, k2.feedback),
+        feedback=_block_diag(k1.feedback, k2.feedback),
         emission=np.concatenate([k1.emission, k2.emission]),
         stationary=stationary,
         stationary_cov=P,
-        initial_cov=scipy.linalg.block_diag(k1.initial_cov, k2.initial_cov),
+        initial_cov=_block_diag(k1.initial_cov, k2.initial_cov),
         params={},
         kind="+",
         parts=(k1, k2),
@@ -335,61 +359,145 @@ def _check_kernel(k):
         raise ParameterError(f"expected a StateSpaceKernel, got {type(k).__name__}")
 
 
-def matrix_exponential(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a square matrix.
+class _Walk(NamedTuple):
+    """What :func:`_walk` returns for one node of a kernel tree. The
+    ``d*`` entries are None unless asked for, and ``Q`` is None where
+    the node's parent has no use for it."""
 
-    Thin wrapper over scipy's scaling-and-squaring Pade implementation,
-    kept as a seam so every transition computation funnels through one
-    audited entry point.
+    A: np.ndarray
+    Q: np.ndarray | None
+    dA: np.ndarray | None
+    dQ: np.ndarray | None
+    dP0: np.ndarray | None
+
+
+def _matern32_leaf(kernel, dt, grad):
+    lam = math.sqrt(3.0) / kernel.params["lengthscale"]
+    x = lam * dt
+    e = math.exp(-x)
+    xe = x * e
+    A = np.array([[(1.0 + x) * e, dt * e], [-lam * xe, (1.0 - x) * e]])
+    if not grad:
+        return _Walk(A, None, None, None, None)
+    # d/dlog(lengthscale) = -lam d/dlam; the variance leaves A alone
+    dA = np.zeros((2, 2, 2))
+    dA[0] = [[xe * x, xe * dt], [lam * xe * (2.0 - x), xe * (2.0 - x)]]
+    P = kernel.stationary_cov
+    dP0 = np.zeros((2, 2, 2))
+    dP0[0, 1, 1] = -2.0 * P[1, 1]
+    dP0[1] = P
+    return _Walk(A, None, dA, None, dP0)
+
+
+def _cosine_leaf(kernel, dt, grad):
+    phi = 2.0 * math.pi / kernel.params["period"] * dt
+    if not math.isfinite(phi):
+        raise NumericalError(f"cosine phase over a step of {dt!r} is not finite")
+    c, s = math.cos(phi), math.sin(phi)
+    A = np.array([[c, -s], [s, c]])
+    if not grad:
+        return _Walk(A, None, None, None, None)
+    # d/dlog(period) = -w d/dw; the variance scales P_inf only
+    dA = np.zeros((2, 2, 2))
+    dA[0] = [[phi * s, phi * c], [-phi * c, phi * s]]
+    dP0 = np.zeros((2, 2, 2))
+    dP0[1] = kernel.stationary_cov
+    return _Walk(A, None, dA, None, dP0)
+
+
+def _brownian_leaf(kernel, dt, grad):
+    Q = np.array([[kernel.params["diffusion"] * dt]])
+    if not grad:
+        return _Walk(np.ones((1, 1)), Q, None, None, None)
+    # Q is linear in the diffusion, so dQ/dlog(diffusion) = Q
+    return _Walk(np.ones((1, 1)), Q, np.zeros((1, 1, 1)), Q[None], np.zeros((1, 1, 1)))
+
+
+_LEAVES = {"matern32": _matern32_leaf, "cosine": _cosine_leaf, "brownian": _brownian_leaf}
+
+
+def _stack_block_diag(d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
+    """Derivatives of ``_block_diag(m1, m2)`` from the stacked derivatives
+    of its blocks: the first block's parameters, then the second's."""
+    (n1, l1, _), (n2, l2, _) = d1.shape, d2.shape
+    out = np.zeros((n1 + n2, l1 + l2, l1 + l2))
+    out[:n1, :l1, :l1] = d1
+    out[n1:, l1:, l1:] = d2
+    return out
+
+
+def _stack_kron(d1: np.ndarray, m1: np.ndarray, d2: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    """Derivatives of ``kron(m1, m2)`` from the stacked derivatives of
+    its factors: the first factor's parameters, then the second's."""
+    L = m1.shape[0] * m2.shape[0]
+    return np.concatenate([np.einsum("nij,kl->nikjl", d1, m2).reshape(-1, L, L),
+                           np.einsum("ij,nkl->nikjl", m1, d2).reshape(-1, L, L)])
+
+
+def _walk(kernel: StateSpaceKernel, dt: float, grad: bool, need_q: bool = True) -> _Walk:
+    """A(dt) of a kernel tree in closed form, with Q(dt) when ``need_q``.
+
+    Leaves have closed-form transitions, a sum's transition is the
+    block-diagonal of its operands' and a product's their Kronecker
+    product. Q keeps one rule per node: P_inf - A P_inf A^T for a
+    stationary node, diffusion * dt for a Brownian leaf and the
+    block-diagonal of the operands' rules for a nonstationary sum.
+    With ``grad`` the walk also returns dA, dQ and the derivative of the
+    initial covariance dP0 with respect to the logs of the leaf
+    parameters, stacked as ``(n_params, L, L)``.
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ParameterError(f"matrix exponential requires a square matrix, got shape {m.shape}")
-    return scipy.linalg.expm(m)
-
-
-def _process_noise(kernel: StateSpaceKernel, A: np.ndarray, dt: float) -> np.ndarray:
-    if kernel.stationary:
+    if kernel.parts is None:
+        if kernel.kind not in _LEAVES:
+            raise UnsupportedKernelError(f"kernel {kernel.kind!r} has no closed-form transition")
+        A, Q, dA, dQ, dP0 = _LEAVES[kernel.kind](kernel, dt, grad)
+    else:
+        left, right = (_walk(part, dt, grad, not kernel.stationary) for part in kernel.parts)
+        dA = dQ = dP0 = None
+        if kernel.kind == "+":
+            A = _block_diag(left.A, right.A)
+            Q = None if kernel.stationary else _block_diag(left.Q, right.Q)
+            if grad:
+                dA = _stack_block_diag(left.dA, right.dA)
+                dP0 = _stack_block_diag(left.dP0, right.dP0)
+                if not kernel.stationary:
+                    dQ = _stack_block_diag(left.dQ, right.dQ)
+        else:
+            A = np.kron(left.A, right.A)
+            Q = None
+            if grad:
+                P1, P2 = (part.stationary_cov for part in kernel.parts)
+                dA = _stack_kron(left.dA, left.A, right.dA, right.A)
+                dP0 = _stack_kron(left.dP0, P1, right.dP0, P2)
+    if kernel.stationary and need_q:
         P = kernel.stationary_cov
-        return P - A @ P @ A.T
-    if kernel.noise_fn is not None:
-        return np.asarray(kernel.noise_fn(dt), dtype=float)
-    if kernel.parts is not None:
-        blocks = []
-        lo = 0
-        for part in kernel.parts:
-            hi = lo + part.state_dim
-            blocks.append(_process_noise(part, A[lo:hi, lo:hi], dt))
-            lo = hi
-        return scipy.linalg.block_diag(*blocks)
-    raise UnsupportedKernelError(
-        f"kernel {kernel.expression} has no process-noise rule"
-    )
+        Q = P - A @ P @ A.T
+        if grad:
+            X = dA @ (P @ A.T)
+            dQ = dP0 - X - X.transpose(0, 2, 1) - A @ dP0 @ A.T
+    return _Walk(A, Q, dA, dQ, dP0)
 
 
-def discretize(kernel: StateSpaceKernel, dt: float) -> DiscretizedTransition:
-    """Transition pair (A, Q) for a step of length ``dt``.
+def discretize(kernel: StateSpaceKernel, dt: float, *, grad: bool = False) -> DiscretizedTransition:
+    """Transition pair (A, Q) for a step of length ``dt``, in closed form.
 
     dt = 0 yields the identity transition with zero noise; negative dt
-    is rejected.
+    is rejected. With ``grad`` the pair carries its derivatives with
+    respect to the logs of the leaf parameters (see
+    :class:`DiscretizedTransition`).
     """
     _check_kernel(kernel)
     dt = float(dt)
     if not math.isfinite(dt) or dt < 0.0:
         raise ParameterError(f"time step must be finite and nonnegative, got {dt!r}")
-    L = kernel.state_dim
-    if dt == 0.0:
-        return DiscretizedTransition(A=np.eye(L), Q=np.zeros((L, L)), dt=0.0)
-    A = matrix_exponential(kernel.feedback * dt)
-    Q = _sym(_process_noise(kernel, A, dt))
-    return DiscretizedTransition(A=A, Q=Q, dt=dt)
+    w = _walk(kernel, dt, grad)
+    dQ = None if w.dQ is None else (w.dQ + w.dQ.transpose(0, 2, 1)) / 2.0
+    return DiscretizedTransition(A=w.A, Q=_sym(w.Q), dt=dt, dA=w.dA, dQ=dQ)
 
 
 def prior_covariance(kernel: StateSpaceKernel, tau: float) -> float:
     """Prior covariance k(tau) implied by the state-space form.
 
-    Evaluates h^T expm(F tau) P_inf h; defined for stationary kernels
-    only.
+    Evaluates h^T A(tau) P_inf h; defined for stationary kernels only.
     """
     _check_kernel(kernel)
     if not kernel.stationary:
@@ -400,7 +508,7 @@ def prior_covariance(kernel: StateSpaceKernel, tau: float) -> float:
     if not math.isfinite(tau) or tau < 0.0:
         raise ParameterError(f"lag must be finite and nonnegative, got {tau!r}")
     h = kernel.emission
-    A = matrix_exponential(kernel.feedback * tau)
+    A = _walk(kernel, tau, False, need_q=False).A
     return float(h @ A @ kernel.stationary_cov @ h)
 
 

@@ -55,9 +55,8 @@ from .kalman import (
     TransitionCache,
     _filter_steps,
     _log_threshold,
-    robust_filter,
+    log_likelihood_gradient,
     rts_smooth,
-    univariate_observation_model,
 )
 from .kernels import (StateSpaceKernel, _leaf_values, _rebuild, add, discretize, matern32,
                       parse_kernel)
@@ -654,11 +653,13 @@ def fit_univariate(y: np.ndarray, timestamps,
     (every parameter of every base kernel in the tree, including
     arguments an expression leaves at their defaults, plus the
     observation-noise variance) are optimized in log space with
-    L-BFGS-B and finite-difference gradients, capped at ``max_outer``
-    iterations. The best parameters seen are kept, so the result is
-    never worse than the starting point; the given kernel and noise
-    variance are returned unchanged when nothing beats them, as with
-    ``optimize=False``.
+    L-BFGS-B on the exact gradient of the filter likelihood
+    (:func:`~ssgpfa.kalman.log_likelihood_gradient`), capped at
+    ``max_outer`` iterations. A trial point where the filter fails
+    scores 1e12 with a zero gradient. The best parameters seen are
+    kept, so the result is never worse than the starting point; the
+    given kernel and noise variance are returned unchanged when nothing
+    beats them, as with ``optimize=False``.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     T = y.shape[0]
@@ -673,40 +674,32 @@ def fit_univariate(y: np.ndarray, timestamps,
     failures = (ConfigError, ParameterError, NumericalError, FloatingPointError)
     best = {"f": math.inf, "kernel": start, "noise": float(noise_variance)}
 
-    def score(kernel: StateSpaceKernel, nv: float) -> float:
-        """Negative filter log-likelihood (1e12 where it fails); keeps
-        the best pair seen."""
+    def objective(theta: np.ndarray, given: tuple | None = None):
+        """Negative filter log-likelihood at the log-parameters ``theta``
+        (of the ``(kernel, noise variance)`` pair ``given`` instead, when
+        passed) and its gradient; keeps the best pair seen."""
         try:
-            obs = univariate_observation_model(kernel, nv)
-            total = 0.0
-            for step in robust_filter(t_arr, y[None, :], kernel, obs, robust=False):
-                if math.isfinite(step.log_likelihood):
-                    total += step.log_likelihood
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                if given is None:
+                    params = np.exp(theta)
+                    given = _rebuild(start, iter(params[:-1])), float(params[-1])
+                ll, grad = log_likelihood_gradient(t_arr, y, *given)
         except failures:
-            return 1e12
-        f = -total
-        if not math.isfinite(f):
-            return 1e12
-        if f < best["f"]:
-            best.update(f=f, kernel=kernel, noise=nv)
-        return f
+            return 1e12, np.zeros_like(theta)
+        if not (math.isfinite(ll) and np.isfinite(grad).all()):
+            return 1e12, np.zeros_like(theta)
+        if -ll < best["f"]:
+            best.update(f=-ll, kernel=given[0], noise=given[1])
+        return -ll, -grad
 
-    def objective(theta: np.ndarray) -> float:
-        params = np.exp(theta)
-        try:
-            kernel = _rebuild(start, iter(params[:-1]))
-        except failures:
-            return 1e12
-        return score(kernel, float(params[-1]))
-
-    score(start, float(noise_variance))
+    theta0 = np.log(np.append(_leaf_values(start), noise_variance))
+    objective(theta0, (start, float(noise_variance)))
     if optimize and not math.isfinite(best["f"]):
         raise NumericalError("initial hyperparameters give a non-finite likelihood")
     if optimize:
         from scipy.optimize import minimize
 
-        theta0 = np.log(np.append(_leaf_values(start), noise_variance))
-        minimize(objective, theta0, method="L-BFGS-B", options={"maxiter": max_outer})
+        minimize(objective, theta0, jac=True, method="L-BFGS-B", options={"maxiter": max_outer})
     return SsgpfaModel(
         kernels=(best["kernel"],),
         loading=np.array([[1.0]]),

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -284,6 +288,17 @@ class TestEval:
         assert code == 2
         assert "differ in length" in caplog.text
 
+    def test_bad_label_timestamp_names_the_labels_file(self, tmp_path, capsys, caplog):
+        scores_path = tmp_path / "scores.csv"
+        labels_path = tmp_path / "labels.csv"
+        write_score_csv(scores_path, [0.0, 1.0, 2.0])
+        write_label_csv(labels_path, [0, 1, 0])
+        labels_path.write_text(labels_path.read_text().replace("\n2,", "\nnan,"))
+        code, _, _ = run(capsys, "eval", "--input", str(scores_path),
+                         "--labels", str(labels_path))
+        assert code == 2
+        assert f"{labels_path}: line 4: timestamp 'nan' is not finite" in caplog.text
+
     def test_curve_file(self, tmp_path, capsys):
         scores_path = tmp_path / "scores.csv"
         labels_path = tmp_path / "labels.csv"
@@ -421,3 +436,15 @@ class TestParser:
             cli.main(["score", "--robust", "maybe", "--input", "x",
                       "--model", "y"])
         assert exc.value.code == 2
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is needed only to optimize univariate hyperparameters, and
+    # fit_univariate imports it when it does.
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    code = ("import sys, ssgpfa.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

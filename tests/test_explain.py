@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssgpfa import (
     ParameterError,
@@ -10,6 +12,7 @@ from ssgpfa import (
     reconstruction_error,
     scalar_nll,
 )
+from ssgpfa import explain
 from ssgpfa.model import SsgpfaModel
 
 
@@ -67,6 +70,53 @@ class TestProjectLatents:
         model = make_model(orthonormal(3, 2))
         with pytest.raises(ParameterError):
             project_latents(model, np.zeros(4))
+
+
+def assert_projection_is_pinv(model, observed):
+    M, noise_vars = explain._projection(model, observed)
+    M_ref = np.linalg.pinv(model.loading[observed])
+    noise_ref = np.einsum("kd,d,kd->k", M_ref, model.noise[observed], M_ref)
+    assert np.abs(M - M_ref).max() <= 1e-12 * np.abs(M_ref).max()
+    assert np.abs(noise_vars - noise_ref).max() <= 1e-12 * np.abs(noise_ref).max()
+
+
+class TestProjection:
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), orthogonal=st.booleans())
+    def test_matches_pinv_on_random_loadings(self, seed, orthogonal):
+        # partially observed rows, where the Gram's Cholesky factor is used
+        rng = np.random.default_rng(seed)
+        K = int(rng.integers(1, 7))
+        D = int(rng.integers(K + 3, 39))
+        if orthogonal:
+            model = make_model(orthonormal(D, K, seed=seed), noise=rng.uniform(0.1, 1.0))
+        else:
+            model = make_model(rng.standard_normal((D, K)), mode="unconstrained",
+                               noise=rng.uniform(0.1, 1.0, D))
+        observed = rng.random(D) < 0.8
+        observed[rng.choice(D, K + 2, replace=False)] = True
+        assert_projection_is_pinv(model, observed)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["combination", "zero column", "scaled copy", "few rows"]))
+    def test_matches_pinv_on_rank_deficient_loadings(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        K = int(rng.integers(2, 7))
+        D = int(rng.integers(K + 3, 39))
+        C = rng.standard_normal((D, K))
+        observed = np.ones(D, dtype=bool)
+        j = int(rng.integers(1, K))
+        if kind == "combination":
+            C[:, j] = C[:, :j] @ rng.standard_normal(j)
+        elif kind == "zero column":
+            C[:, j] = 0.0
+        elif kind == "scaled copy":
+            C[:, j] = rng.uniform(-3.0, 3.0) * C[:, j - 1]
+        else:
+            observed[rng.choice(D, D - j, replace=False)] = False
+        model = make_model(C, mode="unconstrained", noise=rng.uniform(0.1, 1.0, D))
+        assert_projection_is_pinv(model, observed)
 
 
 class TestScalarNll:

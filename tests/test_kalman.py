@@ -22,8 +22,9 @@ from ssgpfa import (
     univariate_observation_model,
     update,
 )
-from ssgpfa import kalman
-from ssgpfa.kernels import DiscretizedTransition
+from ssgpfa import brownian, kalman
+from ssgpfa.kernels import DiscretizedTransition, _leaf_values, _rebuild
+from test_kernels import _log_uniform, kernel_trees
 
 
 def scalar_obs(noise=1.0):
@@ -110,6 +111,11 @@ class TestUpdate:
         obs = LinearObservationModel(H=[[1.0]], R=[r], offset=[0.0])
         with pytest.raises(NumericalError):
             update(GaussianState([0.0], P), np.array([1.0]), obs)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
+    def test_noise_must_be_positive_and_finite(self, bad):
+        with pytest.raises(ParameterError, match="positive and finite"):
+            LinearObservationModel(H=np.eye(2), R=[bad, 1.0], offset=np.zeros(2))
 
     def test_noise_matrix_diagonal_accepted(self):
         obs = LinearObservationModel(H=np.eye(2), R=np.diag([0.5, 0.7]),
@@ -230,13 +236,13 @@ class TestFilter:
 
     @pytest.mark.parametrize("H", [[[1.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]]])
     def test_nonfinite_innovation_raises_with_time_index(self, H):
-        # The transition of so short a lengthscale overflows, so the second
-        # row's innovation covariance is NaN, on the one-entry and the
-        # matrix path alike.
+        # lam * dt overflows over so long a step at so short a lengthscale,
+        # so the transition and the second row's innovation covariance are
+        # NaN, on the one-entry and the matrix path alike.
         kernel = matern32(lengthscale=1e-150)
         obs = LinearObservationModel(H=H, R=[0.1] * len(H), offset=np.zeros(len(H)))
         with pytest.raises(NumericalError, match="time index 1"):
-            list(robust_filter(np.arange(3.0), np.zeros((len(H), 3)), kernel, obs))
+            list(robust_filter(np.arange(3.0) * 1e160, np.zeros((len(H), 3)), kernel, obs))
 
     def test_log_rho_overrides_rho(self):
         t = np.arange(20.0)
@@ -390,8 +396,8 @@ def test_stacked_update_matches_dense_formulas(L, D, seed, R, brownian_start):
     observed[rng.choice(D, size=rng.integers(2, D + 1), replace=False)] = True
     y = np.where(observed, rng.standard_normal(D), np.nan)
     obs = LinearObservationModel(H=H, R=R, offset=rng.standard_normal(D))
-    new, v, S, joint, marginals = kalman._update(kalman._Belief(m, P), y, obs, observed,
-                                                 np.count_nonzero(observed))
+    new, v, S, _, joint, marginals = kalman._update(kalman._Belief(m, P), y, obs, observed,
+                                                    np.count_nonzero(observed))
 
     mean_ref, cov_ref, joint_ref, marginals_ref, scale = dense_update(
         m, P, H[observed], R[observed], y[observed], obs.offset[observed])
@@ -418,7 +424,7 @@ def test_stacked_update_accepts_stuck_sensor():
     y = np.array([0.4, 1e-6, -1.2, 0.7])
     new, v, S = update(GaussianState(m, P), y, obs)
     assert np.linalg.cond(S) > 1e12
-    _, _, _, joint, marginals = kalman._update(GaussianState(m, P), y, obs, None, 4)
+    _, _, _, _, joint, marginals = kalman._update(GaussianState(m, P), y, obs, None, 4)
     joint_oll, marginals_oll = observation_log_likelihood(v, S)
     assert joint == pytest.approx(joint_oll, rel=1e-12)
     np.testing.assert_allclose(marginals, marginals_oll, rtol=1e-12)
@@ -431,3 +437,65 @@ def test_stacked_update_accepts_stuck_sensor():
     assert close(new.cov, state.cov, 1e-10)
     assert joint == pytest.approx(seq_joint, rel=1e-10)
     assert np.isfinite(joint)
+
+
+# --- exact likelihood gradient -------------------------------------------
+
+_GRAD_LEAVES = st.one_of(
+    st.builds(matern32, _log_uniform(1.0, 30.0), _log_uniform(0.3, 3.0)),
+    st.builds(cosine, _log_uniform(3.0, 30.0), _log_uniform(0.3, 3.0)),
+    st.builds(brownian, _log_uniform(0.01, 0.3)),
+)
+# Random trees with a Brownian leaf, on irregular timestamps with missing values.
+_GRAD_CASES = st.tuples(
+    st.tuples(st.builds(brownian, _log_uniform(0.01, 0.3)),
+              kernel_trees(2, _GRAD_LEAVES, max_product_dim=8)).map(lambda ks: ks[0] + ks[1]),
+    _log_uniform(0.05, 1.0),
+    st.integers(0, 2**32 - 1),
+)
+
+
+def _irregular_series(seed, T=25):
+    rng = np.random.default_rng(seed)
+    t = np.cumsum(rng.uniform(0.2, 2.0, T))
+    y = np.sin(t / 3.0) + 0.3 * rng.standard_normal(T)
+    y[rng.random(T) < 0.2] = np.nan
+    return t, y
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=_GRAD_CASES)
+def test_log_likelihood_gradient_matches_central_differences(case):
+    kernel, noise, seed = case
+    t, y = _irregular_series(seed)
+    _, grad = kalman.log_likelihood_gradient(t, y, kernel, noise)
+    theta = np.log(np.append(_leaf_values(kernel), noise))
+    step = 1e-5
+    fd = np.empty_like(theta)
+    for j in range(theta.size):
+        ll = []
+        for sign in (1.0, -1.0):
+            p = np.exp(theta + sign * step * (np.arange(theta.size) == j))
+            ll.append(kalman.log_likelihood_gradient(t, y, _rebuild(kernel, iter(p[:-1])),
+                                                     p[-1])[0])
+        fd[j] = (ll[0] - ll[1]) / (2.0 * step)
+    assert np.linalg.norm(grad - fd) <= 1e-6 * max(1.0, np.linalg.norm(fd))
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=_GRAD_CASES)
+def test_log_likelihood_gradient_value_is_the_filter_likelihood(case):
+    kernel, noise, seed = case
+    t, y = _irregular_series(seed)
+    value, _ = kalman.log_likelihood_gradient(t, y, kernel, noise)
+    obs = univariate_observation_model(kernel, noise)
+    total = 0.0
+    for step in robust_filter(t, y, kernel, obs, robust=False):
+        if math.isfinite(step.log_likelihood):
+            total += step.log_likelihood
+    assert value == total  # the same arithmetic, bit for bit
+
+
+def test_log_likelihood_gradient_rejects_unordered_timestamps():
+    with pytest.raises(InputError, match="strictly increasing"):
+        kalman.log_likelihood_gradient([0.0, 2.0, 1.0], np.zeros(3), matern32(2.0), 0.1)

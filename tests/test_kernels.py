@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ssgpfa import (
     ConfigError,
+    NumericalError,
     ParameterError,
     SsgpfaModel,
     UnsupportedKernelError,
@@ -22,7 +23,7 @@ from ssgpfa import (
     parse_kernel,
     prior_covariance,
 )
-from ssgpfa.kernels import _leaf_values, _rebuild, matrix_exponential
+from ssgpfa.kernels import _leaf_values, _rebuild
 
 
 def analytic_matern32(tau, lengthscale, variance):
@@ -76,6 +77,11 @@ class TestCosine:
     def test_rejects_nonfinite_frequency(self):
         with pytest.raises(ParameterError):
             cosine(period=1e-320)
+
+    def test_nonfinite_phase_raises(self):
+        # w dt overflows: a typed error, not math.cos's ValueError
+        with pytest.raises(NumericalError, match="phase"):
+            discretize(cosine(period=1e-300), 1e10)
 
     def test_pure_rotation(self):
         k = cosine(period=2.0 * math.pi, variance=1.0)
@@ -186,10 +192,6 @@ class TestDiscretize:
         with pytest.raises(ParameterError):
             discretize(matern32(1.0), -0.5)
 
-    def test_matrix_exponential_requires_square(self):
-        with pytest.raises(ParameterError):
-            matrix_exponential(np.ones((2, 3)))
-
 
 class TestParse:
     def test_round_trip_expression(self):
@@ -255,20 +257,23 @@ _LEAVES = st.one_of(
 )
 
 
-def _combine(args):
+def _combine(args, max_product_dim=None):
     k1, k2, product = args
-    if product and k1.stationary and k2.stationary:
+    if product and k1.stationary and k2.stationary and (
+            max_product_dim is None or k1.state_dim * k2.state_dim <= max_product_dim):
         return multiply(k1, k2)
     return add(k1, k2)
 
 
-def kernel_trees(depth=3):
+def kernel_trees(depth=3, leaves=_LEAVES, max_product_dim=None):
     """Random trees at most ``depth`` operators deep; only stationary
-    subtrees are multiplied."""
+    subtrees are multiplied, and with ``max_product_dim`` only into at
+    most that many states."""
     if depth == 0:
-        return _LEAVES
-    sub = kernel_trees(depth - 1)
-    return st.one_of(_LEAVES, st.tuples(sub, sub, st.booleans()).map(_combine))
+        return leaves
+    sub = kernel_trees(depth - 1, leaves, max_product_dim)
+    return st.one_of(leaves, st.tuples(sub, sub, st.booleans()).map(
+        lambda args: _combine(args, max_product_dim)))
 
 
 def assert_same_kernel(a, b):
@@ -319,3 +324,50 @@ class TestKernelTree:
     def test_leaf_values_in_tree_order(self):
         k = brownian(0.1) + matern32(3.0, 2.0) * cosine(period=9.0)
         assert _leaf_values(k) == [0.1, 3.0, 2.0, 9.0, 1.0]
+
+
+# --- closed-form transitions ---------------------------------------------
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda x: 10.0 ** x)
+
+
+def _noise_rule(kernel, A, dt):
+    """Q(dt) by the package's rules, from a given A."""
+    if kernel.stationary:
+        P = kernel.stationary_cov
+        return P - A @ P @ A.T
+    if kernel.parts is None:
+        return np.array([[kernel.params["diffusion"] * dt]])
+    Q = np.zeros_like(A)
+    lo = 0
+    for part in kernel.parts:
+        hi = lo + part.state_dim
+        Q[lo:hi, lo:hi] = _noise_rule(part, A[lo:hi, lo:hi], dt)
+        lo = hi
+    return Q
+
+
+# Periods of at least 1e3 keep the rotations within 2 pi over the longest
+# step: scipy's expm loses up to 1e-11 on rotations by tens of radians,
+# where the closed form is exact.
+_EXPM_LEAVES = st.one_of(
+    st.builds(matern32, _log_uniform(1.0, 100.0), _log_uniform(0.1, 10.0)),
+    st.builds(cosine, _log_uniform(1e3, 1e4), _log_uniform(0.1, 10.0)),
+    st.builds(brownian, _log_uniform(0.01, 1.0)),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(kernel=kernel_trees(3, _EXPM_LEAVES, max_product_dim=16), dt=_log_uniform(1e-3, 1e3))
+def test_closed_form_transition_matches_expm(kernel, dt):
+    import scipy.linalg
+
+    trans = discretize(kernel, dt)
+    A_ref = scipy.linalg.expm(kernel.feedback * dt)
+    Q_ref = _noise_rule(kernel, A_ref, dt)
+    Q_ref = (Q_ref + Q_ref.T) / 2.0
+    assert np.linalg.norm(trans.A - A_ref) <= 1e-12 * max(1.0, np.linalg.norm(A_ref))
+    scale = max(1.0, np.linalg.norm(kernel.initial_cov), np.linalg.norm(Q_ref))
+    assert np.linalg.norm(trans.Q - Q_ref) <= 1e-12 * scale

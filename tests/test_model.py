@@ -562,11 +562,12 @@ class TestFitUnivariate:
             assert model.noise[0] == 0.1
 
     def test_failing_start_scored_not_raised(self):
-        # The filter meets a NaN innovation variance at the second point;
-        # the failure scores the trial point and the fit returns the start.
-        t = np.arange(30.0)
+        # lam * dt overflows, so the filter meets a NaN innovation variance
+        # at the second point; the failure scores the trial point and the
+        # fit returns the start.
+        t = np.arange(30.0) * 1e160
         start = parse_kernel("matern32(lengthscale=1e-150)")
-        model = fit_univariate(np.sin(0.3 * t), t, start, optimize=False)
+        model = fit_univariate(np.sin(0.3 * np.arange(30.0)), t, start, optimize=False)
         assert model.kernels[0] is start
         assert model.training_log == ()
 
