@@ -29,10 +29,9 @@ from .errors import (
     EvaluationError,
     InputError,
     NumericalError,
-    ParameterError,
     SsgpfaError,
 )
-from .kalman import _log_threshold
+from .kalman import DEFAULT_RHO, _log_threshold
 from .metrics import EvalReport, _label_runs, best_f1_sweep, range_adjusted_metrics, sweep_curve
 
 __all__ = ["main", "build_parser"]
@@ -65,8 +64,6 @@ _DEFAULTS = {
     "train_fraction": 0.2,
 }
 
-_DEFAULT_RHO = 1e-12
-
 
 def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
@@ -90,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
         if rho:
             group = p.add_mutually_exclusive_group()
             group.add_argument("--rho", type=float,
-                               help="robust acceptance threshold (default 1e-12)")
+                               help=f"robust acceptance threshold (default {DEFAULT_RHO:g})")
             group.add_argument("--log-rho", dest="log_rho", type=float,
                                help="log-space robust threshold; overrides --rho")
             p.add_argument("--robust", type=_parse_bool, metavar="{true,false}",
@@ -252,7 +249,7 @@ def _train_model(series, cfg: dict):
     robust = cfg["robust"] if cfg["robust"] is not None else False
     robust_log_rho = None
     if robust:
-        robust_log_rho = _log_threshold(_DEFAULT_RHO if cfg["rho"] is None else cfg["rho"],
+        robust_log_rho = _log_threshold(DEFAULT_RHO if cfg["rho"] is None else cfg["rho"],
                                         cfg["log_rho"])
     return model_mod.train_series(
         series,
@@ -286,7 +283,7 @@ def cmd_train(cfg: dict) -> int:
 
 def _scoring_kwargs(cfg: dict) -> dict:
     return {
-        "rho": _DEFAULT_RHO if cfg["rho"] is None else cfg["rho"],
+        "rho": DEFAULT_RHO if cfg["rho"] is None else cfg["rho"],
         "log_rho": cfg["log_rho"],
         "robust": cfg["robust"] if cfg["robust"] is not None else True,
         "robust_scope": cfg["robust_scope"],
@@ -491,13 +488,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         log.error("%s", exc)
         return 3
-    except (ConfigError, InputError, ParameterError) as exc:
-        log.error("%s", exc)
-        return 2
-    except SsgpfaError as exc:
-        log.error("%s", exc)
-        return 2
-    except OSError as exc:
+    except (SsgpfaError, OSError) as exc:
         log.error("%s", exc)
         return 2
 

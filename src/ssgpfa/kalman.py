@@ -2,8 +2,8 @@
 
 The filter runs over irregularly sampled observations of a linear
 Gaussian state-space model built from a :class:`~ssgpfa.kernels.StateSpaceKernel`.
-Each step discretizes the kernel over the gap since the last accepted
-observation, predicts, and conditionally updates:
+Each row after the first discretizes the kernel over the gap since the
+previous row, predicts, and conditionally updates:
 
     predict:  m' = A m,  P' = A P A^T + Q
     update:   v = y_obs - (H m' + offset)_obs
@@ -24,10 +24,10 @@ a failed check or factorization raises ``NumericalError``.
 
 Every filtering pass in the package, training and scoring alike, runs
 through one gated loop, ``_filter_steps``. It owns the timestamp check,
-the accepted-time anchor, the transition caches, predict, update and
-the step log-likelihood, and the robust gate. It carries each block's
-state as plain ``(mean, cov)`` arrays; only the public :func:`predict`,
-:func:`update`, :func:`robust_filter` and :func:`rts_smooth` build
+the transition caches, predict, update and the step log-likelihood, and
+the robust gate. It carries each block's state as plain ``(mean, cov)``
+arrays; only the public :func:`predict`, :func:`update`,
+:func:`robust_filter` and :func:`rts_smooth` build
 :class:`GaussianState` objects. The blocks come in one of two layouts:
 
 ``stacked``
@@ -42,9 +42,10 @@ state as plain ``(mean, cov)`` arrays; only the public :func:`predict`,
 
 The robust gate scores each point on its predictive likelihood and
 absorbs it only above ``log(rho)``, jointly or per dimension, so
-outliers cannot drag the posterior. The elapsed time for the next
-transition always refers back to the most recently *accepted* point.
-A fully missing observation leaves the state untouched.
+outliers cannot drag the posterior. A gated or fully missing row skips
+the update and keeps its prediction as the state, so every pass walks
+one chain with one state per row, from the prior at the first timestamp
+on; :func:`rts_smooth` runs back over it from the filter's predictions.
 
 One pass keeps a loop of its own: :func:`log_likelihood_gradient`, the
 ungated one-output pass that fits univariate hyperparameters. It calls
@@ -81,15 +82,17 @@ __all__ = [
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
+DEFAULT_RHO = 1e-12  # a point is absorbed when its predictive likelihood exceeds rho
+
 
 class TransitionCache:
     """Bounded memo of discretized transitions keyed by step length.
 
-    Regularly spaced streams hit a single entry forever. A sustained
-    rejection streak mints a new step length every point, so on
-    overflow the store is dropped wholesale; the hot entries repopulate
-    on the next accepted step. With ``grad`` the transitions carry their
-    parameter derivatives.
+    The filter steps from row to row, so regularly spaced streams hit a
+    single entry forever, gated rows included. Irregular timestamps can
+    mint a new step length every row, so on overflow the store is
+    dropped wholesale; the hot entries repopulate on the next rows. With
+    ``grad`` the transitions carry their parameter derivatives.
     """
 
     MAX_ENTRIES = 512
@@ -159,6 +162,8 @@ class LinearObservationModel:
             raise ParameterError(f"offset must have length {D}, got {offset.shape}")
         if not (np.isfinite(R).all() and (R > 0.0).all()):
             raise ParameterError("observation noise variances must be positive and finite")
+        if not (np.isfinite(H).all() and np.isfinite(offset).all()):
+            raise ParameterError("observation matrix and offset must be finite")
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "offset", offset)
@@ -326,12 +331,13 @@ def _log_threshold(rho: float, log_rho: float | None) -> float:
 
 
 class _Step(NamedTuple):
-    """One row of :func:`_filter_steps`; the state lists hold one entry
-    per block."""
+    """One row of :func:`_filter_steps`; the lists hold one entry per
+    block. ``transitions`` lead from the previous row (None on the first)."""
 
     timestamp: float
     y: np.ndarray
     observed: np.ndarray
+    transitions: list
     predicted: list
     updated: list
     log_likelihood: float
@@ -361,8 +367,9 @@ def _filter_steps(rows: Iterable, kernels: Sequence[StateSpaceKernel],
     joint log-likelihood exceeds ``log_rho``) or ``"per_dim"`` (stacked
     layout only: re-update on the dimensions whose marginal
     log-likelihood exceeds ``log_rho``; the row counts as accepted when
-    any is kept). A fully missing row is scored NaN, counts as accepted
-    and leaves the state and the accepted-time anchor untouched.
+    any is kept). A fully missing row is scored NaN and counts as
+    accepted. A gated or fully missing row keeps its prediction as the
+    state, from which the next row predicts.
 
     Each step carries the per-dimension marginal log-likelihoods (NaN
     where missing), except on per-latent rows, which have no
@@ -376,7 +383,6 @@ def _filter_steps(rows: Iterable, kernels: Sequence[StateSpaceKernel],
         sigma2 = float(obs.R[0])
         block_obs = [univariate_observation_model(k, sigma2) for k in blocks]
         perp_dims = D - loading.shape[1]
-    anchor = None  # timestamp of the most recent accepted observation
     prev_t = None
 
     for i, (t, y, observed) in enumerate(rows):
@@ -384,7 +390,6 @@ def _filter_steps(rows: Iterable, kernels: Sequence[StateSpaceKernel],
             raise InputError(
                 f"timestamps must be strictly increasing (index {i}: {t!r} after {prev_t!r})"
             )
-        prev_t = t
         n_obs = np.count_nonzero(observed)
         if loading is not None and 0 < n_obs < D:
             merged = reduce(add, blocks)
@@ -392,14 +397,18 @@ def _filter_steps(rows: Iterable, kernels: Sequence[StateSpaceKernel],
                               _block_diag(*[s.cov for s in states]))]
             blocks, caches, loading = [merged], [TransitionCache(merged)], None
 
-        if anchor is None:
-            predicted = states
+        if prev_t is None:
+            transitions, predicted = [None] * len(states), states
         else:
-            predicted = [_predict(s, cache.get(t - anchor)) for s, cache in zip(states, caches)]
+            dt = t - prev_t
+            transitions = [cache.get(dt) for cache in caches]
+            predicted = list(map(_predict, states, transitions))
+        prev_t = t
 
         if not n_obs:
-            yield _Step(t, y, observed, predicted, predicted, float("nan"), np.full(D, np.nan),
-                        True)
+            states = predicted
+            yield _Step(t, y, observed, transitions, predicted, predicted, float("nan"),
+                        np.full(D, np.nan), True)
             continue
 
         try:
@@ -432,16 +441,13 @@ def _filter_steps(rows: Iterable, kernels: Sequence[StateSpaceKernel],
         except NumericalError as exc:
             raise NumericalError(f"time index {i}: {exc}") from None
 
-        if accepted:
-            states = candidates
-            anchor = t
-        yield _Step(t, y, observed, predicted, states if accepted else predicted, joint,
-                    marginals, accepted)
+        states = candidates if accepted else predicted
+        yield _Step(t, y, observed, transitions, predicted, states, joint, marginals, accepted)
 
 
 def robust_filter(timestamps: Sequence[float], values: np.ndarray,
                   kernel: StateSpaceKernel, obs: LinearObservationModel, *,
-                  rho: float = 1e-12, log_rho: float | None = None,
+                  rho: float = DEFAULT_RHO, log_rho: float | None = None,
                   robust: bool = True,
                   mask: np.ndarray | None = None) -> Iterator[FilterStepResult]:
     """Stream a (possibly robust) filtering pass over a series.
@@ -469,8 +475,9 @@ def robust_filter(timestamps: Sequence[float], values: np.ndarray,
     Yields
     ------
     FilterStepResult per observation, in order. O(1) memory in the
-    stream length. Fully missing observations are scored as NaN, leave
-    the state untouched and do not advance the accepted-time anchor.
+    stream length. Fully missing observations are scored as NaN. A
+    gated or fully missing row skips the update: its ``updated`` state
+    is its prediction, and the next row predicts from it.
     """
     log_rho = _log_threshold(rho, log_rho)
     values = np.asarray(values, dtype=float)
@@ -510,9 +517,9 @@ def log_likelihood_gradient(timestamps: Sequence[float], values: np.ndarray,
     ``(n_theta, L)`` and ``(n_theta, L, L)`` arrays (Gupta & Mehra, IEEE
     TAC 1974): through each prediction by the closed-form dA/dtheta and
     dQ/dtheta, and through each update by the Joseph form, whose terms in
-    the gain's derivative vanish at the optimal gain. A NaN value is
-    missing: it skips the update and keeps the accepted-time anchor, as
-    in the filter.
+    the gain's derivative vanish at the optimal gain. Every row after the
+    first predicts the state and its derivatives from the previous row; a
+    NaN value is missing and skips the update, as in the filter.
 
     Returns ``(log_likelihood, gradient)``.
     """
@@ -534,12 +541,10 @@ def log_likelihood_gradient(timestamps: Sequence[float], values: np.ndarray,
     dr[-1] = obs.R[0]  # d r / d log r
     total = 0.0
     grad = np.zeros(dP.shape[0])
-    anchor = None
+    prev_t = None
     for i, (t_i, y_i) in enumerate(zip(t.tolist(), y[:, None])):
-        if not math.isfinite(y_i[0]):
-            continue
-        if anchor is not None:
-            trans = cache.get(t_i - anchor)
+        if prev_t is not None:
+            trans = cache.get(t_i - prev_t)
             A, dA = trans.A, trans.dA
             dAPA = dA @ (state.cov @ A.T)
             dm = dm @ A.T
@@ -547,6 +552,9 @@ def log_likelihood_gradient(timestamps: Sequence[float], values: np.ndarray,
             dP = A @ dP @ A.T
             dP[:-1] += dAPA + dAPA.transpose(0, 2, 1) + trans.dQ
             state = _predict(state, trans)
+        prev_t = t_i
+        if not math.isfinite(y_i[0]):
+            continue
         try:
             posterior, v, S, gain, ll, _ = _update(state, y_i, obs, None, 1)
         except NumericalError as exc:
@@ -560,18 +568,25 @@ def log_likelihood_gradient(timestamps: Sequence[float], values: np.ndarray,
         ikh = eye - np.outer(k, h)
         dP = ikh @ dP @ ikh.T + dr[:, None, None] * np.outer(k, k)
         total += ll
-        state, anchor = posterior, t_i
+        state = posterior
     return total, grad
 
 
-def rts_smooth(filtered: Sequence[GaussianState],
+def rts_smooth(filtered: Sequence[GaussianState], predicted: Sequence[GaussianState],
                transitions: Sequence[DiscretizedTransition]) -> list[GaussianState]:
     """Rauch-Tung-Striebel smoothing over a filtered trajectory.
+
+    It reuses the filter's predictions, as in Sarkka, *Bayesian Filtering
+    and Smoothing* (2013), and computes none of its own.
 
     Parameters
     ----------
     filtered : sequence of GaussianState, length T
-        Filtering posteriors (anything with ``mean`` and ``cov``) in time order.
+        Filtering posteriors (anything with ``mean`` and ``cov``) in time
+        order; a gated or missing row's is its prediction.
+    predicted : sequence of GaussianState, length T - 1
+        ``predicted[j]`` is the filter's prediction of state j + 1 from
+        ``filtered[j]``.
     transitions : sequence of DiscretizedTransition, length T - 1
         ``transitions[j]`` maps state j to state j + 1.
 
@@ -579,20 +594,17 @@ def rts_smooth(filtered: Sequence[GaussianState],
     -------
     list of GaussianState with the full-trajectory posteriors.
     """
-    filtered = list(filtered)
-    transitions = list(transitions)
     T = len(filtered)
     if T == 0:
         return []
-    if len(transitions) != T - 1:
-        raise ParameterError(
-            f"need {T - 1} transitions for {T} states, got {len(transitions)}"
-        )
+    if len(predicted) != T - 1 or len(transitions) != T - 1:
+        raise ParameterError(f"need {T - 1} predictions and transitions for {T} states, "
+                             f"got {len(predicted)} and {len(transitions)}")
     smoothed = [None] * T
     smoothed[-1] = filtered[-1]
     for j in range(T - 2, -1, -1):
         m, P = filtered[j].mean, filtered[j].cov
-        m_pred, P_pred = _predict(filtered[j], transitions[j])
+        m_pred, P_pred = predicted[j].mean, predicted[j].cov
         try:
             gain = np.linalg.solve(P_pred, transitions[j].A @ P).T
         except np.linalg.LinAlgError:

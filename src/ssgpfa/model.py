@@ -23,7 +23,7 @@ supported:
     state holds all latents.
 
 Both layouts run through the one filter loop of :mod:`ssgpfa.kalman`;
-the E-step stores its filtered states for RTS smoothing and online
+the E-step smooths back over the filter's own chain and online
 scoring turns each step into a :class:`ScoredPoint`.
 
 Training is EM with closed-form M-step updates; kernel hyperparameters
@@ -51,8 +51,8 @@ import numpy as np
 from . import explain
 from .errors import ConfigError, InputError, NumericalError, ParameterError
 from .kalman import (
+    DEFAULT_RHO,
     LinearObservationModel,
-    TransitionCache,
     _filter_steps,
     _log_threshold,
     log_likelihood_gradient,
@@ -254,12 +254,6 @@ def assemble_joint(model: SsgpfaModel):
     return kernel, obs, slices
 
 
-def _chain_transitions(kernel: StateSpaceKernel, timestamps: np.ndarray):
-    """Consecutive-step transitions with caching for repeated gaps."""
-    cache = TransitionCache(kernel)
-    return [cache.get(dt) for dt in np.diff(timestamps).tolist()]
-
-
 def _as_time_array(timestamps, T: int) -> np.ndarray:
     t = np.asarray(timestamps, dtype=float)
     if t.shape != (T,):
@@ -304,15 +298,12 @@ def e_step(model: SsgpfaModel, values: np.ndarray, timestamps, mask=None,
     else:
         blocks, groups, loading = (kernel,), [list(enumerate(slices))], None
 
-    filtered = [[] for _ in blocks]
     used = np.zeros(T, dtype=bool)
     total_ll = 0.0
-    steps = _filter_steps(zip(t_arr.tolist(), values.T, mask.T), blocks, obs,
-                          log_rho=robust_log_rho,
-                          gate=None if robust_log_rho is None else "joint", loading=loading)
+    steps = list(_filter_steps(zip(t_arr.tolist(), values.T, mask.T), blocks, obs,
+                               log_rho=robust_log_rho,
+                               gate=None if robust_log_rho is None else "joint", loading=loading))
     for i, step in enumerate(steps):
-        for store, state in zip(filtered, step.updated):
-            store.append(state)
         if np.count_nonzero(step.observed):
             total_ll += step.log_likelihood
             used[i] = step.accepted
@@ -320,8 +311,9 @@ def e_step(model: SsgpfaModel, values: np.ndarray, timestamps, mask=None,
     means = np.zeros((T, K))
     covs = np.zeros((T, K, K))
     emissions = [k.emission for k in model.kernels]
-    for block, group, store in zip(blocks, groups, filtered):
-        smoothed = rts_smooth(store, _chain_transitions(block, t_arr))
+    for b, group in enumerate(groups):
+        smoothed = rts_smooth([s.updated[b] for s in steps], [s.predicted[b] for s in steps[1:]],
+                              [s.transitions[b] for s in steps[1:]])
         for j, sj in group:
             h = emissions[j]
             means[:, j] = [h @ st.mean[sj] for st in smoothed]
@@ -547,7 +539,7 @@ def _prior_variance_paths(kernels, T: int, timestamps):
 # --- online scoring -------------------------------------------------------
 
 
-def score_online(model: SsgpfaModel, stream, *, rho: float = 1e-12,
+def score_online(model: SsgpfaModel, stream, *, rho: float = DEFAULT_RHO,
                  log_rho: float | None = None, robust: bool = True,
                  robust_scope: str = "joint") -> Iterator[ScoredPoint]:
     """Score a stream point by point.

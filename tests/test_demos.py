@@ -40,3 +40,10 @@ def test_latent_attribution_demo_runs():
     assert "generating latent -> fitted latent: [2, 1, 0]\n" in out
     line = next(row for row in out.splitlines() if row.startswith("spike in latent 0"))
     assert "counts [0, 0, 15]" in line
+
+
+def test_benchmark_pipeline_demo_runs():
+    # Train, score and evaluate two streams through the CLI in a temporary tree.
+    out = run_demo("benchmark_pipeline.py")
+    assert "exit code 0\n" in out
+    assert any(line.startswith("mean f1 across cases: ") for line in out.splitlines())

@@ -117,6 +117,14 @@ class TestUpdate:
         with pytest.raises(ParameterError, match="positive and finite"):
             LinearObservationModel(H=np.eye(2), R=[bad, 1.0], offset=np.zeros(2))
 
+    @pytest.mark.parametrize("H, offset", [([[math.nan, 0.0]], [0.0]),
+                                           ([[math.inf, 0.0]], [0.0]),
+                                           ([[1.0, 0.0]], [math.inf]),
+                                           ([[1.0, 0.0]], [math.nan])])
+    def test_emission_and_offset_must_be_finite(self, H, offset):
+        with pytest.raises(ParameterError, match="must be finite"):
+            LinearObservationModel(H=H, R=[1.0], offset=offset)
+
     def test_noise_matrix_diagonal_accepted(self):
         obs = LinearObservationModel(H=np.eye(2), R=np.diag([0.5, 0.7]),
                                      offset=np.zeros(2))
@@ -198,8 +206,9 @@ class TestFilter:
         assert loose[30].accepted
 
     def test_anchor_spans_back_to_last_accepted(self):
-        # after a rejected point, the next transition covers the gap
-        # since the last accepted point, not since the rejection
+        # a rejected point carries its prediction forward as the state, so
+        # the next prediction equals one transition over the whole gap
+        # since the last accepted point, up to rounding
         t = np.array([0.0, 1.0, 2.0])
         kernel = matern32(lengthscale=2.0)
         obs = univariate_observation_model(kernel, 0.1)
@@ -268,7 +277,8 @@ class TestSmoother:
         obs = univariate_observation_model(kernel, nv)
         steps = list(robust_filter(t, y, kernel, obs, robust=False))
         transitions = [discretize(kernel, float(t[j + 1] - t[j])) for j in range(T - 1)]
-        smoothed = rts_smooth([s.updated for s in steps], transitions)
+        smoothed = rts_smooth([s.updated for s in steps], [s.predicted for s in steps[1:]],
+                              transitions)
         h = kernel.emission
         means = np.array([h @ s.mean for s in smoothed])
         vars_ = np.array([h @ s.cov @ h for s in smoothed])
@@ -285,12 +295,57 @@ class TestSmoother:
 
     def test_length_mismatch(self):
         with pytest.raises(ParameterError):
-            rts_smooth([GaussianState([0.0], [[1.0]])] * 3, [])
+            rts_smooth([GaussianState([0.0], [[1.0]])] * 3, [], [])
 
     def test_single_state_passthrough(self):
         s = GaussianState([0.5], [[2.0]])
-        out = rts_smooth([s], [])
+        out = rts_smooth([s], [], [])
         assert out[0] is s
+
+
+# --- one chain from the first timestamp on --------------------------------
+
+
+def brownian_matern_gram(t):
+    """Prior Gram of ``brownian(0.5) + matern32(3.0)``, with the Brownian
+    part pinned to zero at ``t[0]``."""
+    t = np.asarray(t, dtype=float)
+    matern = np.array([[prior_covariance(matern32(3.0), abs(a - b)) for b in t] for a in t])
+    return 0.5 * (np.minimum.outer(t, t) - t[0]) + matern
+
+
+@pytest.mark.parametrize("missing", [[0], [0, 1, 7]])
+def test_missing_first_row_keeps_brownian_start(missing):
+    # The prior sits at the first timestamp even when that row is missing,
+    # so the Brownian part has grown by the first observed row.
+    rng = np.random.default_rng(5)
+    t = np.cumsum(rng.uniform(0.3, 1.5, 30))
+    y = np.sin(t / 2.0) + 0.3 * rng.standard_normal(30)
+    y[missing] = np.nan
+    kernel = brownian(0.5) + matern32(3.0)
+    nv = 0.2
+    streamed = sum(s.log_likelihood for s in
+                   robust_filter(t, y, kernel, univariate_observation_model(kernel, nv),
+                                 robust=False)
+                   if math.isfinite(s.log_likelihood))
+    value, _ = kalman.log_likelihood_gradient(t, y, kernel, nv)
+    seen = np.isfinite(y)
+    cov = brownian_matern_gram(t)[np.ix_(seen, seen)] + nv * np.eye(seen.sum())
+    dense = -0.5 * (seen.sum() * math.log(2 * math.pi) + np.linalg.slogdet(cov)[1]
+                    + y[seen] @ np.linalg.solve(cov, y[seen]))
+    assert streamed == pytest.approx(dense, rel=1e-9)
+    assert value == pytest.approx(dense, rel=1e-9)
+
+
+def test_gated_first_row_coasts_from_first_timestamp():
+    t = np.array([0.0, 0.7, 1.5])
+    kernel = brownian(0.5) + matern32(3.0)
+    y = np.array([1e3, 0.1, 0.2])
+    steps = list(robust_filter(t, y, kernel, univariate_observation_model(kernel, 0.1)))
+    assert [s.accepted for s in steps] == [False, True, True]
+    # state 0 is the Brownian part: zero at t[0], diffusion * dt at t[1]
+    assert steps[0].predicted.cov[0, 0] == 0.0
+    assert steps[1].predicted.cov[0, 0] == pytest.approx(0.5 * 0.7, rel=1e-12)
 
 
 @settings(max_examples=25, deadline=None)

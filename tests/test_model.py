@@ -14,6 +14,7 @@ from ssgpfa import (
     NumericalError,
     ParameterError,
     SsgpfaModel,
+    brownian,
     cosine,
     e_step,
     fa_likelihood,
@@ -33,6 +34,7 @@ from ssgpfa import (
     univariate_observation_model,
 )
 from ssgpfa.data import LabeledSeries, gen_multivariate, SyntheticSpec
+from test_kalman import brownian_matern_gram
 
 
 def orthonormal(D, K, seed=0):
@@ -163,6 +165,33 @@ class TestEStep:
             np.testing.assert_allclose([getattr(p, name) for p in points],
                                        [getattr(p, name) for p in ref_points], rtol=1e-9)
         assert [p.accepted for p in points] == [p.accepted for p in ref_points]
+
+    @pytest.mark.parametrize("mode, noise", [("orthogonal", 0.2),
+                                             ("unconstrained", [0.2, 0.3])])
+    def test_missing_first_row_matches_dense_posterior(self, mode, noise):
+        # The smoother walks the filter's own chain, which starts at t[0]
+        # even when that row is missing, so the Brownian part is pinned there.
+        rng = np.random.default_rng(9)
+        T = 25
+        t = np.cumsum(rng.uniform(0.3, 1.5, T))
+        C, d = np.array([[0.6], [0.8]]), np.array([0.5, -0.3])
+        noise_diag = np.broadcast_to(noise, 2)
+        Y = (C * np.sin(t / 3.0) + d[:, None]
+             + np.sqrt(noise_diag)[:, None] * rng.standard_normal((2, T)))
+        Y[:, [0, 9]] = np.nan
+        model = SsgpfaModel((brownian(0.5) + matern32(3.0),), C, d, noise, mode=mode)
+        post = e_step(model, Y, t)
+
+        seen = np.isfinite(Y).all(axis=0)
+        K = brownian_matern_gram(t)
+        cov = (np.kron(K[np.ix_(seen, seen)], C @ C.T)
+               + np.kron(np.eye(seen.sum()), np.diag(noise_diag)))
+        cross = np.kron(K[:, seen], C.T)
+        resid = (Y[:, seen] - d[:, None]).T.ravel()
+        mean = cross @ np.linalg.solve(cov, resid)
+        var = np.diag(K) - np.einsum("ij,ji->i", cross, np.linalg.solve(cov, cross.T))
+        np.testing.assert_allclose(post.means[:, 0], mean, atol=1e-8)
+        np.testing.assert_allclose(post.covs[:, 0, 0], var, atol=1e-8)
 
     def test_partial_missing_rows_run(self):
         t, Y, C, d = toy_data(D=4, K=2, T=40, seed=6)
