@@ -83,7 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser, *, rho: bool = False) -> None:
         p.add_argument("--config", help="JSON config file; flags override its entries")
-        p.add_argument("--seed", type=int, help="RNG seed (default 0)")
         if rho:
             group = p.add_mutually_exclusive_group()
             group.add_argument("--rho", type=float,
@@ -131,6 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--length", type=int, help="series length")
     p_synth.add_argument("--dims", type=int, help="observed dimensions (explain scenario)")
     p_synth.add_argument("--output", help="CSV path for the series")
+    p_synth.add_argument("--seed", type=int, help="RNG seed (default 0)")
     common(p_synth)
     p_synth.set_defaults(func=cmd_synth)
 
@@ -152,6 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pipe.add_argument("--dims", type=int, help="dimensions for --scenario explain")
     p_pipe.add_argument("--threshold", type=float,
                         help="fixed threshold instead of the best-F1 sweep")
+    p_pipe.add_argument("--seed", type=int, help="RNG seed for --scenario (default 0)")
     common(p_pipe, rho=True)
     p_pipe.set_defaults(func=cmd_pipeline)
 
@@ -294,36 +295,39 @@ def _render_float(x: float) -> str:
     return repr(float(x))
 
 
+def _write_scores(out, model, points) -> int:
+    """Write ``points`` as a score CSV to the open file ``out``; returns
+    the row count."""
+    header = (["timestamp", "score"]
+              + [f"marginal_nll_{i}" for i in range(model.n_dims)]
+              + ["accepted"]
+              + [f"latent_nll_{k}" for k in range(model.n_latents)]
+              + ["reconstruction_error"])
+    out.write(",".join(header) + "\n")
+    n = 0
+    for point in points:
+        fields = [data_mod._render_number(point.timestamp),
+                  _render_float(point.score)]
+        fields += [_render_float(x) for x in point.marginal_nlls]
+        fields.append("1" if point.accepted else "0")
+        fields += [_render_float(x) for x in point.latent_nlls]
+        fields.append(_render_float(point.reconstruction_error))
+        out.write(",".join(fields) + "\n")
+        n += 1
+    return n
+
+
 def cmd_score(cfg: dict) -> int:
     input_path = _require(cfg, "input", "--input")
     model_path = _require(cfg, "model", "--model")
     model = model_mod.load_model(model_path)
     rows = ((t, y, m) for t, y, m, _ in data_mod.iter_csv_rows(input_path))
     points = model_mod.score_online(model, rows, **_scoring_kwargs(cfg))
-    out = sys.stdout if cfg["output"] in (None, "-") else \
-        open(cfg["output"], "w", encoding="utf-8", newline="")
-    close = out is not sys.stdout
-    D, K = model.n_dims, model.n_latents
-    header = (["timestamp", "score"]
-              + [f"marginal_nll_{i}" for i in range(D)]
-              + ["accepted"]
-              + [f"latent_nll_{k}" for k in range(K)]
-              + ["reconstruction_error"])
-    n = 0
-    try:
-        out.write(",".join(header) + "\n")
-        for point in points:
-            fields = [data_mod._render_number(point.timestamp),
-                      _render_float(point.score)]
-            fields += [_render_float(x) for x in point.marginal_nlls]
-            fields.append("1" if point.accepted else "0")
-            fields += [_render_float(x) for x in point.latent_nlls]
-            fields.append(_render_float(point.reconstruction_error))
-            out.write(",".join(fields) + "\n")
-            n += 1
-    finally:
-        if close:
-            out.close()
+    if cfg["output"] in (None, "-"):
+        n = _write_scores(sys.stdout, model, points)
+    else:
+        with open(cfg["output"], "w", encoding="utf-8", newline="") as out:
+            n = _write_scores(out, model, points)
     log.info("scored %d points from %s", n, input_path)
     return 0
 
@@ -386,15 +390,19 @@ def cmd_eval(cfg: dict) -> int:
         raise InputError(
             f"scores ({scores.size}) and labels ({labels.size}) differ in length"
         )
-    if cfg["threshold"] is not None:
-        report = range_adjusted_metrics(scores, labels, cfg["threshold"])
-    else:
-        report = best_f1_sweep(scores, labels)
+    report = _evaluate(scores, labels, cfg)
     if cfg["curve"]:
         _write_curve(cfg["curve"], sweep_curve(scores, labels))
         log.info("wrote threshold curve to %s", cfg["curve"])
     _emit({"report": _report_dict(report), "n_points": int(scores.size)})
     return 0
+
+
+def _evaluate(scores: np.ndarray, labels: np.ndarray, cfg: dict) -> EvalReport:
+    """Metrics at the configured threshold, else at the best-F1 threshold."""
+    if cfg["threshold"] is not None:
+        return range_adjusted_metrics(scores, labels, cfg["threshold"])
+    return best_f1_sweep(scores, labels)
 
 
 def _generate(cfg: dict):
@@ -428,14 +436,11 @@ def _pipeline_case(name, train, test, cfg, out_dir):
     scores = np.array([p.score for p in points])
     if test.labels is None:
         raise EvaluationError(f"case {name!r} has no labels to evaluate against")
-    if cfg["threshold"] is not None:
-        report = range_adjusted_metrics(scores, test.labels, cfg["threshold"])
-    else:
-        report = best_f1_sweep(scores, test.labels)
+    report = _evaluate(scores, test.labels, cfg)
     if out_dir is not None:
         model_mod.save_model(model, out_dir / f"{name}_model.json")
-        scored = data_mod.LabeledSeries(test.timestamps, scores[None, :])
-        data_mod.write_csv(scored, out_dir / f"{name}_scores.csv")
+        with open(out_dir / f"{name}_scores.csv", "w", encoding="utf-8", newline="") as out:
+            _write_scores(out, model, points)
     return {
         "name": name,
         "n_train": train.length,

@@ -25,10 +25,11 @@ a failed check or factorization raises ``NumericalError``.
 Every filtering pass in the package, training and scoring alike, runs
 through one gated loop, ``_filter_steps``. It owns the timestamp check,
 the transition caches, predict, update and the step log-likelihood, and
-the robust gate. It carries each block's state as plain ``(mean, cov)``
-arrays; only the public :func:`predict`, :func:`update`,
-:func:`robust_filter` and :func:`rts_smooth` build
-:class:`GaussianState` objects. The blocks come in one of two layouts:
+the robust gate. Each block's state is a :class:`GaussianState` of plain
+arrays, built by ``_predict``, ``_update`` and the loop itself, which
+:func:`robust_filter` yields as it is. Only the functions that take a
+caller's states check their shapes: :func:`predict`, :func:`update` and
+:func:`rts_smooth`. The blocks come in one of two layouts:
 
 ``stacked``
     One block whose observation model reads the raw row; used by
@@ -114,24 +115,27 @@ class TransitionCache:
         return trans
 
 
-@dataclass(frozen=True, eq=False)
-class GaussianState:
-    """Gaussian belief over the latent state."""
+class GaussianState(NamedTuple):
+    """Gaussian belief over the latent state: the arrays every pass carries."""
 
     mean: np.ndarray
     cov: np.ndarray
 
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        cov = np.asarray(self.cov, dtype=float)
-        if mean.ndim != 1:
-            raise ParameterError(f"state mean must be a vector, got shape {mean.shape}")
-        if cov.shape != (mean.size, mean.size):
-            raise ParameterError(
-                f"state covariance must be ({mean.size}, {mean.size}), got {cov.shape}"
-            )
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
+
+def _checked(mean, cov, lead: tuple = ()) -> GaussianState:
+    """A caller's belief as float arrays. Raises ``ParameterError`` unless
+    ``mean`` holds vectors and ``cov`` matching square matrices, each
+    behind the leading shape ``lead``."""
+    try:
+        mean, cov = np.asarray(mean, dtype=float), np.asarray(cov, dtype=float)
+    except ValueError:
+        raise ParameterError("state means and covariances must be regular arrays") from None
+    if mean.ndim != len(lead) + 1:
+        raise ParameterError(f"state mean must be a vector, got shape {mean.shape[len(lead):]}")
+    L = mean.shape[-1]
+    if cov.shape != (*lead, L, L):
+        raise ParameterError(f"state covariance must be ({L}, {L}), got {cov.shape[len(lead):]}")
+    return GaussianState(mean, cov)
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,13 +187,12 @@ def univariate_observation_model(kernel: StateSpaceKernel,
     )
 
 
-@dataclass(frozen=True, eq=False)
-class FilterStepResult:
+class FilterStepResult(NamedTuple):
     """One step of a filtering pass.
 
     ``marginal_log_likelihoods`` has one entry per output dimension;
     missing dimensions carry NaN. ``accepted`` is False exactly when the
-    robust gate rejected the point, in which case ``updated`` equals
+    robust gate rejected the point, in which case ``updated`` is
     ``predicted``.
     """
 
@@ -201,16 +204,9 @@ class FilterStepResult:
     accepted: bool
 
 
-class _Belief(NamedTuple):
-    """A Gaussian belief as plain arrays: the state the filter loop carries."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-
-def _predict(state, transition: DiscretizedTransition) -> _Belief:
+def _predict(state, transition: DiscretizedTransition) -> GaussianState:
     A = transition.A
-    return _Belief(A @ state.mean, _sym(A @ state.cov @ A.T + transition.Q))
+    return GaussianState(A @ state.mean, _sym(A @ state.cov @ A.T + transition.Q))
 
 
 def _update(state, y: np.ndarray, obs: LinearObservationModel, observed: np.ndarray | None,
@@ -248,12 +244,13 @@ def _update(state, y: np.ndarray, obs: LinearObservationModel, observed: np.ndar
     cov = _sym(ikh @ P @ ikh.T + (gain * r) @ gain.T)
     diag = S.diagonal()
     marginals = -0.5 * (_LOG_2PI + np.log(diag) + v * v / diag)
-    return _Belief(mean, cov), v, S, gain, float(marginals[0] if n_obs == 1 else joint), marginals
+    joint = float(marginals[0] if n_obs == 1 else joint)
+    return GaussianState(mean, cov), v, S, gain, joint, marginals
 
 
 def predict(state: GaussianState, transition: DiscretizedTransition) -> GaussianState:
     """Propagate the belief through one discretized transition."""
-    return GaussianState(*_predict(state, transition))
+    return _predict(_checked(state.mean, state.cov), transition)
 
 
 def update(state: GaussianState, y: np.ndarray, obs: LinearObservationModel,
@@ -278,6 +275,7 @@ def update(state: GaussianState, y: np.ndarray, obs: LinearObservationModel,
         fully missing observation returns the state unchanged with
         empty innovation arrays.
     """
+    checked = _checked(state.mean, state.cov)
     y = np.asarray(y, dtype=float)
     D = obs.n_outputs
     if y.shape != (D,):
@@ -286,8 +284,7 @@ def update(state: GaussianState, y: np.ndarray, obs: LinearObservationModel,
     n_obs = np.count_nonzero(mask)
     if not n_obs:
         return state, np.empty(0), np.empty((0, 0))
-    new, v, S, _, _, _ = _update(state, y, obs, mask, n_obs)
-    return GaussianState(*new), v, S
+    return _update(checked, y, obs, mask, n_obs)[:3]
 
 
 def observation_log_likelihood(innovation: np.ndarray, innovation_cov: np.ndarray):
@@ -376,7 +373,7 @@ def _filter_steps(rows: Iterable, kernels: Sequence[StateSpaceKernel],
     per-dimension innovation: there ``marginals`` is None.
     """
     blocks = list(kernels)
-    states = [_Belief(np.zeros(k.state_dim), k.initial_cov.copy()) for k in blocks]
+    states = [GaussianState(np.zeros(k.state_dim), k.initial_cov.copy()) for k in blocks]
     caches = [TransitionCache(k) for k in blocks]
     D = obs.n_outputs
     if loading is not None:
@@ -393,7 +390,7 @@ def _filter_steps(rows: Iterable, kernels: Sequence[StateSpaceKernel],
         n_obs = np.count_nonzero(observed)
         if loading is not None and 0 < n_obs < D:
             merged = reduce(add, blocks)
-            states = [_Belief(np.concatenate([s.mean for s in states]),
+            states = [GaussianState(np.concatenate([s.mean for s in states]),
                               _block_diag(*[s.cov for s in states]))]
             blocks, caches, loading = [merged], [TransitionCache(merged)], None
 
@@ -498,9 +495,8 @@ def robust_filter(timestamps: Sequence[float], values: np.ndarray,
     rows = zip(map(float, timestamps), values.T, observed)
     for step in _filter_steps(rows, (kernel,), obs, log_rho=log_rho,
                               gate="joint" if robust else None):
-        yield FilterStepResult(step.timestamp, GaussianState(*step.predicted[0]),
-                               GaussianState(*step.updated[0]), step.log_likelihood,
-                               step.marginals, step.accepted)
+        yield FilterStepResult(step.timestamp, step.predicted[0], step.updated[0],
+                               step.log_likelihood, step.marginals, step.accepted)
 
 
 def log_likelihood_gradient(timestamps: Sequence[float], values: np.ndarray,
@@ -533,7 +529,7 @@ def log_likelihood_gradient(timestamps: Sequence[float], values: np.ndarray,
     h = obs.H[0]
     eye = np.eye(kernel.state_dim)
     cache = TransitionCache(kernel, grad=True)
-    state = _Belief(np.zeros(kernel.state_dim), kernel.initial_cov.copy())
+    state = GaussianState(np.zeros(kernel.state_dim), kernel.initial_cov.copy())
     dP0 = _walk(kernel, 0.0, True, need_q=False).dP0
     dP = np.concatenate([dP0, np.zeros((1, *eye.shape))])
     dm = np.zeros(dP.shape[:2])
@@ -583,7 +579,8 @@ def rts_smooth(filtered: Sequence[GaussianState], predicted: Sequence[GaussianSt
     ----------
     filtered : sequence of GaussianState, length T
         Filtering posteriors (anything with ``mean`` and ``cov``) in time
-        order; a gated or missing row's is its prediction.
+        order; a gated or missing row's is its prediction. The last is
+        returned as given.
     predicted : sequence of GaussianState, length T - 1
         ``predicted[j]`` is the filter's prediction of state j + 1 from
         ``filtered[j]``.
@@ -593,6 +590,9 @@ def rts_smooth(filtered: Sequence[GaussianState], predicted: Sequence[GaussianSt
     Returns
     -------
     list of GaussianState with the full-trajectory posteriors.
+
+    Raises ``ParameterError`` unless the means, stacked, are vectors of one
+    length L and the covariances L x L.
     """
     T = len(filtered)
     if T == 0:
@@ -600,19 +600,20 @@ def rts_smooth(filtered: Sequence[GaussianState], predicted: Sequence[GaussianSt
     if len(predicted) != T - 1 or len(transitions) != T - 1:
         raise ParameterError(f"need {T - 1} predictions and transitions for {T} states, "
                              f"got {len(predicted)} and {len(transitions)}")
+    states = [*filtered, *predicted]
+    means, covs = _checked([s.mean for s in states], [s.cov for s in states], (len(states),))
     smoothed = [None] * T
     smoothed[-1] = filtered[-1]
+    mean, cov = means[T - 1], covs[T - 1]
     for j in range(T - 2, -1, -1):
-        m, P = filtered[j].mean, filtered[j].cov
-        m_pred, P_pred = predicted[j].mean, predicted[j].cov
+        m, P, m_pred, P_pred = means[j], covs[j], means[T + j], covs[T + j]
         try:
             gain = np.linalg.solve(P_pred, transitions[j].A @ P).T
         except np.linalg.LinAlgError:
             raise NumericalError(
                 f"singular predicted covariance in smoothing step {j}"
             ) from None
-        nxt = smoothed[j + 1]
-        mean = m + gain @ (nxt.mean - m_pred)
-        cov = _sym(P + gain @ (nxt.cov - P_pred) @ gain.T)
+        mean = m + gain @ (mean - m_pred)
+        cov = _sym(P + gain @ (cov - P_pred) @ gain.T)
         smoothed[j] = GaussianState(mean, cov)
     return smoothed

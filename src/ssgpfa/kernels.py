@@ -90,14 +90,12 @@ def _sym(m: np.ndarray) -> np.ndarray:
 
 
 def _block_diag(*blocks: np.ndarray) -> np.ndarray:
-    """Block-diagonal matrix of square blocks."""
-    n = sum(b.shape[0] for b in blocks)
-    out = np.zeros((n, n))
-    lo = 0
+    """Block-diagonal matrix of 2-d blocks."""
+    out = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)))
+    row = col = 0
     for b in blocks:
-        hi = lo + b.shape[0]
-        out[lo:hi, lo:hi] = b
-        lo = hi
+        out[row:row + b.shape[0], col:col + b.shape[1]] = b
+        row, col = row + b.shape[0], col + b.shape[1]
     return out
 
 

@@ -42,7 +42,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import partial, reduce
 from itertools import repeat
 from typing import Callable, Iterator, Sequence
 
@@ -52,13 +52,16 @@ from . import explain
 from .errors import ConfigError, InputError, NumericalError, ParameterError
 from .kalman import (
     DEFAULT_RHO,
+    GaussianState,
     LinearObservationModel,
+    TransitionCache,
     _filter_steps,
     _log_threshold,
+    _update,
     log_likelihood_gradient,
     rts_smooth,
 )
-from .kernels import (StateSpaceKernel, _leaf_values, _rebuild, add, discretize, matern32,
+from .kernels import (StateSpaceKernel, _block_diag, _leaf_values, _rebuild, add, matern32,
                       parse_kernel)
 
 __all__ = [
@@ -236,22 +239,16 @@ class ScoredPoint:
 def assemble_joint(model: SsgpfaModel):
     """Joint state-space form stacking every latent.
 
-    Returns ``(kernel, obs, slices)``: the block dynamics kernel, the
-    observation model with emission rows C[:, k] h_k^T and noise
-    diag(Psi) plus offset d, and the per-latent state slices.
+    Returns ``(kernel, obs, readout)``: the block dynamics kernel over
+    the stacked state x; the (K, L) ``readout`` whose row k holds h_k on
+    latent k's slice of x, so that the latents are z = readout x; and the
+    observation model y = C z + d + noise, with emission
+    ``C @ readout``, noise diag(Psi) and offset d.
     """
-    kernel = reduce(add, model.kernels)
-    blocks = []
-    slices = []
-    lo = 0
-    for k, kern in enumerate(model.kernels):
-        hi = lo + kern.state_dim
-        slices.append(slice(lo, hi))
-        blocks.append(np.outer(model.loading[:, k], kern.emission))
-        lo = hi
-    H = np.hstack(blocks)
-    obs = LinearObservationModel(H=H, R=model.noise.copy(), offset=model.offset.copy())
-    return kernel, obs, slices
+    readout = _block_diag(*[k.emission[None, :] for k in model.kernels])
+    obs = LinearObservationModel(H=model.loading @ readout, R=model.noise.copy(),
+                                 offset=model.offset.copy())
+    return reduce(add, model.kernels), obs, readout
 
 
 def _as_time_array(timestamps, T: int) -> np.ndarray:
@@ -283,6 +280,10 @@ def e_step(model: SsgpfaModel, values: np.ndarray, timestamps, mask=None,
     that partially observed rows create. ``robust_log_rho`` enables the
     robust gate during training: points whose predictive log-likelihood
     falls at or below it are not absorbed and are excluded from ``used``.
+
+    A block's smoothed means M (T, L) and covariances P (T, L, L) give
+    its latents' as ``M @ E.T`` and ``E @ P @ E.T``, where E is the
+    ``readout`` of :func:`assemble_joint`, or h_k[None, :] for block k.
     """
     values = np.atleast_2d(np.asarray(values, dtype=float))
     D, T = values.shape
@@ -291,12 +292,13 @@ def e_step(model: SsgpfaModel, values: np.ndarray, timestamps, mask=None,
     t_arr = _as_time_array(timestamps, T)
     mask = _normalize_mask(values, mask)
     K = model.n_latents
-    kernel, obs, slices = assemble_joint(model)
+    kernel, obs, readout = assemble_joint(model)
     partial = (mask.any(axis=0) & ~mask.all(axis=0)).any()
     if model.mode == "orthogonal" and not partial:
-        blocks, groups, loading = model.kernels, _per_latent_groups(K), model.loading
+        blocks, loading = model.kernels, model.loading
+        readouts = [k.emission[None, :] for k in model.kernels]
     else:
-        blocks, groups, loading = (kernel,), [list(enumerate(slices))], None
+        blocks, loading, readouts = (kernel,), None, [readout]
 
     used = np.zeros(T, dtype=bool)
     total_ll = 0.0
@@ -310,22 +312,15 @@ def e_step(model: SsgpfaModel, values: np.ndarray, timestamps, mask=None,
 
     means = np.zeros((T, K))
     covs = np.zeros((T, K, K))
-    emissions = [k.emission for k in model.kernels]
-    for b, group in enumerate(groups):
+    lo = 0
+    for b, E in enumerate(readouts):
+        hi = lo + E.shape[0]
         smoothed = rts_smooth([s.updated[b] for s in steps], [s.predicted[b] for s in steps[1:]],
                               [s.transitions[b] for s in steps[1:]])
-        for j, sj in group:
-            h = emissions[j]
-            means[:, j] = [h @ st.mean[sj] for st in smoothed]
-            for k, sk in group:
-                covs[:, j, k] = [h @ st.cov[sj, sk] @ emissions[k] for st in smoothed]
+        means[:, lo:hi] = np.array([st.mean for st in smoothed]) @ E.T
+        covs[:, lo:hi, lo:hi] = E @ np.array([st.cov for st in smoothed]) @ E.T
+        lo = hi
     return LatentPosterior(means, covs, float(total_ll), used)
-
-
-def _per_latent_groups(n_latents: int) -> list:
-    """The (latent, state slice) pairs of each block in the per-latent
-    layout: block k holds latent k alone."""
-    return [[(k, slice(None))] for k in range(n_latents)]
 
 
 def m_step(posterior: LatentPosterior, values: np.ndarray, mask=None):
@@ -479,40 +474,29 @@ def fa_likelihood(model: SsgpfaModel, values: np.ndarray, timestamps=None,
     y_t ~ N(d, Psi + C Ktt C^T), where Ktt is the diagonal of latent
     prior variances at that point. Invariant under rotations of C when
     the latent prior variances are equal. ``timestamps`` are needed only
-    when some latent is nonstationary.
+    when some latent is nonstationary. Each row is scored by the filter's
+    own update from the prior N(0, diag(Ktt)).
     """
     values = np.atleast_2d(np.asarray(values, dtype=float))
     D, T = values.shape
     if D != model.n_dims:
         raise ConfigError(f"model expects {model.n_dims} dimensions, data has {D}")
     mask = _normalize_mask(values, mask)
-    C, d = model.loading, model.offset
+    obs = LinearObservationModel(H=model.loading, R=model.noise, offset=model.offset)
 
     t_arr = None if timestamps is None else _as_time_array(timestamps, T)
     per_t_vars = _prior_variance_paths(model.kernels, T, t_arr)
 
     total = 0.0
-    chol_cache = {}
-    for t in range(T):
-        sel = mask[:, t]
-        if not sel.any():
+    for t, (y, sel, tau) in enumerate(zip(values.T, mask.T, per_t_vars)):
+        n_obs = np.count_nonzero(sel)
+        if not n_obs:
             continue
-        tau = per_t_vars[t]
-        key = (tau.tobytes(), sel.tobytes())
-        entry = chol_cache.get(key)
-        if entry is None:
-            cov = C[sel] @ (tau[:, None] * C[sel].T) + np.diag(model.noise[sel])
-            try:
-                chol = np.linalg.cholesky(cov)
-            except np.linalg.LinAlgError:
-                raise NumericalError(f"marginal covariance not positive definite at step {t}") \
-                    from None
-            entry = chol
-            chol_cache[key] = entry
-        resid = values[sel, t] - d[sel]
-        alpha = np.linalg.solve(entry, resid)
-        total += (-0.5 * sel.sum() * _LOG_2PI - np.log(np.diag(entry)).sum()
-                  - 0.5 * float(alpha @ alpha))
+        prior = GaussianState(np.zeros(tau.size), np.diag(tau))
+        try:
+            total += _update(prior, y, obs, sel, n_obs)[4]
+        except NumericalError as exc:
+            raise NumericalError(f"time index {t}: {exc}") from None
     return float(total)
 
 
@@ -529,8 +513,9 @@ def _prior_variance_paths(kernels, T: int, timestamps):
         P = kern.initial_cov.copy()
         h = kern.emission
         out[0, k] = h @ P @ h
+        cache = TransitionCache(kern)
         for j in range(1, T):
-            trans = discretize(kern, float(timestamps[j] - timestamps[j - 1]))
+            trans = cache.get(float(timestamps[j] - timestamps[j - 1]))
             P = trans.A @ P @ trans.A.T + trans.Q
             out[j, k] = h @ P @ h
     return list(out)
@@ -559,14 +544,14 @@ def score_online(model: SsgpfaModel, stream, *, rho: float = DEFAULT_RHO,
     if robust_scope not in ("joint", "per_dim"):
         raise ConfigError(f"unknown robust scope {robust_scope!r}")
     gate = robust_scope if robust else None
-    kernel, obs, slices = assemble_joint(model)
+    kernel, obs, readout = assemble_joint(model)
     if model.mode == "orthogonal" and gate != "per_dim":
         blocks, loading = model.kernels, model.loading
     else:
         blocks, loading = (kernel,), None
     steps = _filter_steps(_stream_rows(model, stream), blocks, obs, log_rho=log_rho,
                           gate=gate, loading=loading)
-    return _scored_points(model, slices, steps)
+    return _scored_points(model, readout, steps)
 
 
 def _stream_rows(model: SsgpfaModel, stream):
@@ -591,35 +576,35 @@ def _stream_rows(model: SsgpfaModel, stream):
         yield float(t), y, finite if m is None else np.asarray(m, dtype=bool) & finite
 
 
-def _scored_points(model: SsgpfaModel, slices: list, steps) -> Iterator[ScoredPoint]:
+def _scored_points(model: SsgpfaModel, readout: np.ndarray, steps) -> Iterator[ScoredPoint]:
     """One :class:`ScoredPoint` per filter step, with its per-latent
-    attribution. ``slices`` are the latents' state slices in the stacked
-    layout; in the per-latent layout block k holds latent k alone."""
+    attribution. Stacked rows read the latents' predictions through
+    ``readout``; per-latent block k is read with h_k as scalars, at half
+    the cost of a (1, L) matrix product per block."""
     K = model.n_latents
     C, d = model.loading, model.offset
     C_sq = C ** 2
     emissions = [k.emission for k in model.kernels]
-    per_latent = _per_latent_groups(K)
-    stacked = [list(enumerate(slices))]
     for step in steps:
         y, row, marginals = step.y, step.observed, step.marginals
         if not row.any():
             yield ScoredPoint(step.timestamp, float("nan"), np.full(model.n_dims, np.nan), True,
                               np.full(K, np.nan), float("nan"))
             continue
-        mu_hat = np.empty(K)
-        s_pred = np.empty(K)
-        for group, st in zip(per_latent if marginals is None else stacked, step.predicted):
-            for k, sk in group:
-                h = emissions[k]
-                mu_hat[k] = h @ st.mean[sk]
-                s_pred[k] = h @ st.cov[sk, sk] @ h
         if marginals is None:
+            mu_hat, s_pred = np.empty(K), np.empty(K)
+            for k, (h, st) in enumerate(zip(emissions, step.predicted)):
+                mu_hat[k] = h @ st.mean
+                s_pred[k] = h @ st.cov @ h
             # per-latent step, so a full row and orthonormal C:
             # y_i ~ N((C mu + d)_i, (C^2 s)_i + sigma^2)
             mean_y = C @ mu_hat + d
             var_y = C_sq @ s_pred + model.noise
             marginals = -0.5 * (_LOG_2PI + np.log(var_y) + (y - mean_y) ** 2 / var_y)
+        else:
+            st = step.predicted[0]
+            mu_hat = readout @ st.mean
+            s_pred = (readout @ st.cov @ readout.T).diagonal()
         M, noise_vars = explain._projection(model, row)
         v_proj = M @ (y - d)[row]
         latent_nlls = np.array([
@@ -777,7 +762,8 @@ def model_from_dict(data: dict) -> SsgpfaModel:
 
     Rejects unknown formats and newer format versions with a
     :class:`ConfigError` naming the version, so stale readers fail
-    loudly instead of misreading fields.
+    loudly instead of misreading fields. A missing or malformed field
+    raises a :class:`ConfigError` naming the field.
     """
     if not isinstance(data, dict):
         raise ConfigError("model document must be a JSON object")
@@ -790,29 +776,38 @@ def model_from_dict(data: dict) -> SsgpfaModel:
             f"unsupported model format version {version!r}; this build reads version "
             f"{_MODEL_VERSION}"
         )
+    floats = partial(np.array, dtype=float)
+    training_log = ()
+    if "training_log" in data:
+        training_log = _field(data, "training_log", lambda log: tuple(map(float, log)))
+    input_mean = input_std = None
+    if data.get("standardization") is not None:
+        input_mean, input_std = _field(data, "standardization",
+                                       lambda std: (floats(std["mean"]), floats(std["std"])))
+    return SsgpfaModel(_field(data, "kernels", lambda texts: tuple(map(parse_kernel, texts))),
+                       _field(data, "loading", floats), _field(data, "offset", floats),
+                       _field(data, "noise", _noise_from_entry), mode=_field(data, "mode", str),
+                       training_log=training_log, input_mean=input_mean, input_std=input_std)
+
+
+def _field(entry: dict, name: str, read: Callable):
+    """``read(entry[name])``, raising a :class:`ConfigError` that names the
+    field when it is missing or ``read`` cannot take it."""
     try:
-        kernels = tuple(parse_kernel(text) for text in data["kernels"])
-        loading = np.array(data["loading"], dtype=float)
-        offset = np.array(data["offset"], dtype=float)
-        noise_entry = data["noise"]
-        if noise_entry["kind"] == "isotropic":
-            noise = np.full(loading.shape[0], float(noise_entry["variance"]))
-        elif noise_entry["kind"] == "diagonal":
-            noise = np.array(noise_entry["variances"], dtype=float)
-        else:
-            raise ConfigError(f"unknown noise kind {noise_entry['kind']!r}")
-        mode = data["mode"]
-        training_log = tuple(data.get("training_log", ()))
+        return read(entry[name])
     except KeyError as exc:
         raise ConfigError(f"model document is missing field {exc.args[0]!r}") from None
-    std_entry = data.get("standardization")
-    input_mean = input_std = None
-    if std_entry is not None:
-        input_mean = np.array(std_entry["mean"], dtype=float)
-        input_std = np.array(std_entry["std"], dtype=float)
-    return SsgpfaModel(kernels, loading, offset, noise, mode=mode,
-                       training_log=training_log, input_mean=input_mean,
-                       input_std=input_std)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"model field {name!r} is malformed: {exc}") from None
+
+
+def _noise_from_entry(entry: dict):
+    """The isotropic noise variance or diagonal variances of a noise entry."""
+    if entry["kind"] == "isotropic":
+        return float(entry["variance"])
+    if entry["kind"] == "diagonal":
+        return np.array(entry["variances"], dtype=float)
+    raise ConfigError(f"unknown noise kind {entry['kind']!r}")
 
 
 def save_model(model: SsgpfaModel, path) -> None:

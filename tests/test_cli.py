@@ -18,6 +18,7 @@ from ssgpfa.data import (
     load_csv,
     write_csv,
 )
+from test_model import MALFORMED_FIELDS
 
 
 def run(capsys, *argv):
@@ -201,6 +202,19 @@ class TestScore:
         assert code == 2
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("field, value", MALFORMED_FIELDS)
+    def test_malformed_model_file_exit_code(self, tmp_path, capsys, caplog, univariate_csv,
+                                            field, value):
+        model_path = tmp_path / "m.json"
+        quick_model(model_path, univariate_csv)
+        doc = json.loads(model_path.read_text())
+        doc[field] = value
+        model_path.write_text(json.dumps(doc))
+        code, _, _ = run(capsys, "score", "--input", str(univariate_csv),
+                         "--model", str(model_path))
+        assert code == 2
+        assert repr(field) in caplog.text
+
     def test_rho_and_log_rho_mutually_exclusive(self, tmp_path, univariate_csv):
         with pytest.raises(SystemExit) as exc:
             cli.main(["score", "--input", str(univariate_csv),
@@ -383,8 +397,30 @@ class TestPipeline:
                             "false_negatives"}
         assert (out_dir / "robust_model.json").is_file()
         assert (out_dir / "robust_scores.csv").is_file()
-        scored = load_csv(out_dir / "robust_scores.csv")
-        assert scored.length == 192
+        scores = cli._read_score_column(out_dir / "robust_scores.csv")
+        assert scores.size == 192
+
+    def test_nasa_scores_feed_eval(self, tmp_path, capsys):
+        # The pipeline's per-case score file is a score CSV that eval reads.
+        root = tmp_path / "data"
+        for part in ("train", "test"):
+            (root / part).mkdir(parents=True)
+        base = gen_univariate(160, seed=3)
+        values = base.values.copy()
+        values[0, 100:104] += 6.0
+        labels = np.zeros(160, dtype=np.int8)
+        labels[100:104] = 1
+        write_csv(LabeledSeries(base.timestamps[:40], values[:, :40]),
+                  root / "train" / "engine.csv")
+        write_csv(LabeledSeries(base.timestamps[40:], values[:, 40:], labels=labels[40:]),
+                  root / "test" / "engine.csv")
+        out_dir = tmp_path / "results"
+        payload = run_json(capsys, "pipeline", "--input", str(root), "--dataset-layout", "nasa",
+                           "--output", str(out_dir), "--kernels", "matern32(lengthscale=10.0)")
+        report = run_json(capsys, "eval", "--input", str(out_dir / "engine_scores.csv"),
+                          "--labels", str(root / "test" / "engine.csv"))
+        assert report["n_points"] == 120
+        assert report["report"] == payload["cases"][0]["report"]
 
     def test_csv_layout_end_to_end(self, tmp_path, capsys):
         series = gen_univariate(150, seed=6)
@@ -429,6 +465,12 @@ class TestParser:
     def test_unknown_flag(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["train", "--banana", "1"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["train", "score", "eval"])
+    def test_seed_only_where_data_is_drawn(self, command):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--input", "x", "--seed", "1"])
         assert exc.value.code == 2
 
     def test_bad_robust_value(self, tmp_path):

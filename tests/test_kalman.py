@@ -303,6 +303,21 @@ class TestSmoother:
         assert out[0] is s
 
 
+_SAFETY_CALLS = {
+    "predict": lambda s: predict(s, discretize(matern32(2.0), 0.5)),
+    "update": lambda s: update(s, np.array([1.0]), scalar_obs()),
+    "rts_smooth": lambda s: rts_smooth([s, s], [s], [discretize(matern32(2.0), 0.5)]),
+}
+
+
+@pytest.mark.parametrize("mean, cov", [(np.zeros((2, 1)), np.eye(2)), (np.zeros(2), np.eye(3))],
+                         ids=["mean_not_vector", "cov_mismatch"])
+@pytest.mark.parametrize("call", _SAFETY_CALLS.values(), ids=_SAFETY_CALLS.keys())
+def test_malformed_state_rejected(call, mean, cov):
+    with pytest.raises(ParameterError, match="state"):
+        call(GaussianState(mean, cov))
+
+
 # --- one chain from the first timestamp on --------------------------------
 
 
@@ -451,7 +466,7 @@ def test_stacked_update_matches_dense_formulas(L, D, seed, R, brownian_start):
     observed[rng.choice(D, size=rng.integers(2, D + 1), replace=False)] = True
     y = np.where(observed, rng.standard_normal(D), np.nan)
     obs = LinearObservationModel(H=H, R=R, offset=rng.standard_normal(D))
-    new, v, S, _, joint, marginals = kalman._update(kalman._Belief(m, P), y, obs, observed,
+    new, v, S, _, joint, marginals = kalman._update(GaussianState(m, P), y, obs, observed,
                                                     np.count_nonzero(observed))
 
     mean_ref, cov_ref, joint_ref, marginals_ref, scale = dense_update(

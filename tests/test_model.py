@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -397,6 +398,19 @@ class TestScoreOnline:
         lls = [s.log_likelihood for s in robust_filter(t, y, kernel, obs)]
         assert scores == [-ll for ll in lls]  # bitwise identical
 
+    def test_composite_latents_read_out_like_stacked_rows(self):
+        # Per-latent blocks read composite states through h_k, stacked rows
+        # through the readout matrix; both must give the same attribution.
+        t, Y, C, d = toy_data(D=5, K=2, T=80, seed=22)
+        kernels = (parse_kernel("brownian(diffusion=0.05) + matern32(lengthscale=10.0)"),
+                   parse_kernel("matern32(lengthscale=20.0) * cosine(period=15.0)"))
+        model = SsgpfaModel(kernels, C, d, 0.1)
+        per_latent = list(score_online(model, zip(t, Y.T), robust=False))
+        stacked = list(score_online(replace(model, mode="unconstrained"), zip(t, Y.T),
+                                    robust=False))
+        np.testing.assert_allclose([p.latent_nlls for p in per_latent],
+                                   [p.latent_nlls for p in stacked], rtol=1e-9)
+
     @pytest.mark.parametrize("mode", ["orthogonal", "unconstrained"])
     @pytest.mark.parametrize("missing", [0.0, 0.2])
     def test_scores_sum_to_e_step_log_likelihood(self, mode, missing):
@@ -509,7 +523,22 @@ class TestScoreOnline:
         assert pts[44].reconstruction_error > 5 * normal
 
 
+# One malformed field each: a string matrix, a non-number log entry, a
+# noise entry that is not an object, and a ragged matrix.
+MALFORMED_FIELDS = [pytest.param("loading", "abc", id="loading-string"),
+                    pytest.param("training_log", ["x"], id="training_log-text"),
+                    pytest.param("noise", [1.0], id="noise-list"),
+                    pytest.param("loading", [[1.0], [0.0, 1.0]], id="loading-ragged")]
+
+
 class TestSerialization:
+    @pytest.mark.parametrize("field, value", MALFORMED_FIELDS)
+    def test_malformed_field_named(self, field, value):
+        doc = model_to_dict(toy_model(orthonormal(3, 2)))
+        doc[field] = value
+        with pytest.raises(ConfigError, match=field):
+            model_from_dict(doc)
+
     def test_round_trip_scores_identically(self, tmp_path):
         t, Y, C, d = toy_data(D=4, K=2, T=50, seed=30)
         model = fit_em(Y, t, [matern32(10.0), cosine(20.0)], max_iters=4)
