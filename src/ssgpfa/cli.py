@@ -154,13 +154,15 @@ def build_parser() -> argparse.ArgumentParser:
                         help="fixed threshold instead of the best-F1 sweep")
     p_pipe.add_argument("--seed", type=int, help="RNG seed for --scenario (default 0)")
     common(p_pipe, rho=True)
-    p_pipe.set_defaults(func=cmd_pipeline)
+    # no flags; these defaults make them pipeline config keys
+    p_pipe.set_defaults(func=cmd_pipeline, train_fraction=None, robust_scope=None)
 
     return parser
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
-    """Defaults, then config-file entries, then explicit flags."""
+    """Defaults, then config-file entries, then explicit flags; a config
+    key must name an option of the chosen subcommand."""
     cfg = dict(_DEFAULTS)
     path = getattr(args, "config", None)
     if path:
@@ -173,9 +175,9 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
         if not isinstance(loaded, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
-        unknown = sorted(set(loaded) - set(_DEFAULTS))
+        unknown = sorted(set(loaded) - set(_DEFAULTS).intersection(vars(args)))
         if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+            raise ConfigError(f"unknown config keys for {args.command}: {', '.join(unknown)}")
         if loaded.get("rho") is not None and loaded.get("log_rho") is not None:
             raise ConfigError("config sets both rho and log_rho; pick one")
         if loaded.get("threshold") is not None and loaded.get("sweep"):

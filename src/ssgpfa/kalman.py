@@ -46,7 +46,8 @@ absorbs it only above ``log(rho)``, jointly or per dimension, so
 outliers cannot drag the posterior. A gated or fully missing row skips
 the update and keeps its prediction as the state, so every pass walks
 one chain with one state per row, from the prior at the first timestamp
-on; :func:`rts_smooth` runs back over it from the filter's predictions.
+on; :func:`rts_smooth` runs back over it, with all gains from one solve
+over the filter's own stacked predictions and transitions.
 
 One pass keeps a loop of its own: :func:`log_likelihood_gradient`, the
 ungated one-output pass that fits univariate hyperparameters. It calls
@@ -573,7 +574,9 @@ def rts_smooth(filtered: Sequence[GaussianState], predicted: Sequence[GaussianSt
     """Rauch-Tung-Striebel smoothing over a filtered trajectory.
 
     It reuses the filter's predictions, as in Sarkka, *Bayesian Filtering
-    and Smoothing* (2013), and computes none of its own.
+    and Smoothing* (2013), and computes none of its own: one batched solve
+    over the stacks gives every gain, and the backward loop holds only the
+    mean and covariance recursion.
 
     Parameters
     ----------
@@ -592,7 +595,8 @@ def rts_smooth(filtered: Sequence[GaussianState], predicted: Sequence[GaussianSt
     list of GaussianState with the full-trajectory posteriors.
 
     Raises ``ParameterError`` unless the means, stacked, are vectors of one
-    length L and the covariances L x L.
+    length L and the covariances L x L, and ``NumericalError`` naming the
+    first step the backward pass reaches with a singular prediction.
     """
     T = len(filtered)
     if T == 0:
@@ -602,18 +606,16 @@ def rts_smooth(filtered: Sequence[GaussianState], predicted: Sequence[GaussianSt
                              f"got {len(predicted)} and {len(transitions)}")
     states = [*filtered, *predicted]
     means, covs = _checked([s.mean for s in states], [s.cov for s in states], (len(states),))
-    smoothed = [None] * T
-    smoothed[-1] = filtered[-1]
+    A = np.reshape([tr.A for tr in transitions], covs[T:].shape)
+    try:
+        gains = np.linalg.solve(covs[T:], A @ covs[:T - 1]).transpose(0, 2, 1)
+    except np.linalg.LinAlgError:
+        j = np.flatnonzero(np.linalg.slogdet(covs[T:]).sign == 0.0)[-1]
+        raise NumericalError(f"singular predicted covariance in smoothing step {j}") from None
+    smoothed = [None] * (T - 1) + [filtered[-1]]
     mean, cov = means[T - 1], covs[T - 1]
-    for j in range(T - 2, -1, -1):
-        m, P, m_pred, P_pred = means[j], covs[j], means[T + j], covs[T + j]
-        try:
-            gain = np.linalg.solve(P_pred, transitions[j].A @ P).T
-        except np.linalg.LinAlgError:
-            raise NumericalError(
-                f"singular predicted covariance in smoothing step {j}"
-            ) from None
-        mean = m + gain @ (mean - m_pred)
-        cov = _sym(P + gain @ (cov - P_pred) @ gain.T)
+    for j, gain in zip(range(T - 2, -1, -1), gains[::-1]):
+        mean = means[j] + gain @ (mean - means[T + j])
+        cov = _sym(covs[j] + gain @ (cov - covs[T + j]) @ gain.T)
         smoothed[j] = GaussianState(mean, cov)
     return smoothed

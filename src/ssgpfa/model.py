@@ -326,15 +326,19 @@ def e_step(model: SsgpfaModel, values: np.ndarray, timestamps, mask=None,
 def m_step(posterior: LatentPosterior, values: np.ndarray, mask=None):
     """Closed-form maximizers of the expected complete-data log-likelihood.
 
-    One formula for every mask, full or partial: each dimension i solves
-    the coupled normal equations for (C_i, d_i) jointly (centered form),
-    then its noise variance given both, with the sums, the means and T
-    taken over the steps where i is observed:
+    One expression for every dimension and mask: dimension i solves the
+    coupled normal equations for (C_i, d_i) jointly (centered form), then
+    its noise variance given both, with the sums, the means and n_i taken
+    over the steps where i is observed:
 
-        C*_i = sum (y_it - ybar_i)(mu_t - mubar)^T
-               [sum Sigma_t + (mu_t - mubar)(mu_t - mubar)^T]^{-1}
-        d*_i = ybar_i - C*_i mubar
-        Psi*_ii = 1/T sum [ (y_it - C*_i mu_t - d*_i)^2 + C*_i Sigma_t C*_i^T ]
+        C*_i = sum (y_it - ybar_i)(mu_t - mubar_i)^T
+               [sum Sigma_t + (mu_t - mubar_i)(mu_t - mubar_i)^T]^{-1}
+        d*_i = ybar_i - C*_i mubar_i
+        Psi*_ii = 1/n_i sum [ (y_it - C*_i mu_t - d*_i)^2 + C*_i Sigma_t C*_i^T ]
+
+    Sums are the (D, T) mask times latent moments about their overall mean
+    (digits are lost only where i is seen far from it); one batched solve
+    gives C. Rows with cond > 1e12 or non-finite get a 1e-9 ridge, one warning.
 
     Returns (C, d, psi_diag).
     """
@@ -345,38 +349,29 @@ def m_step(posterior: LatentPosterior, values: np.ndarray, mask=None):
         raise ParameterError("posterior length does not match the data")
     mask = _normalize_mask(values, mask)
     K = means.shape[1]
-
-    C = np.zeros((D, K))
-    d = np.zeros(D)
-    psi = np.zeros(D)
-    for i in range(D):
-        sel = mask[i]
-        n = int(sel.sum())
-        if n == 0:
-            raise InputError(f"dimension {i} has no observed values")
-        y_i = values[i, sel]
-        mu_i = means[sel]
-        ybar = y_i.mean()
-        mubar = mu_i.mean(axis=0)
-        Mc = mu_i - mubar
-        Szz = covs[sel].sum(axis=0) + Mc.T @ Mc
-        Syz = (y_i - ybar) @ Mc
-        c_i = _solve_loading(Szz, Syz[None, :])[0]
-        C[i] = c_i
-        d[i] = ybar - c_i @ mubar
-        resid = y_i - mu_i @ c_i - d[i]
-        cross = np.einsum("k,tkl,l->", c_i, covs[sel], c_i)
-        psi[i] = (resid ** 2).sum() / n + cross / n
-    return C, d, np.maximum(psi, 1e-12)
-
-
-def _solve_loading(Szz: np.ndarray, Syz: np.ndarray) -> np.ndarray:
-    cond = np.linalg.cond(Szz)
-    if not np.isfinite(cond) or cond > 1e12:
+    n = mask.sum(axis=1)
+    if not n.all():
+        raise InputError(f"dimension {np.argmin(n)} has no observed values")
+    W = mask.astype(float)
+    ybar = np.where(mask, values, 0.0).sum(axis=1) / n
+    Y = np.where(mask, values - ybar[:, None], 0.0)
+    shift = means.mean(axis=0)
+    M = means - shift
+    mubar = W @ M / n[:, None]
+    Scov = (W @ covs.reshape(T, K * K)).reshape(D, K, K)
+    Smm = (W @ (M[:, :, None] * M[:, None, :]).reshape(T, K * K)).reshape(D, K, K)
+    Szz = Scov + Smm - n[:, None, None] * mubar[:, :, None] * mubar[:, None, :]
+    singular = ~(np.linalg.cond(Szz) <= 1e12)  # non-finite or above 1e12
+    if singular.any():
         warnings.warn("singular latent second-moment matrix; applying ridge regularization",
-                      stacklevel=3)
-        Szz = Szz + 1e-9 * np.eye(Szz.shape[0])
-    return np.linalg.solve(Szz, Syz.T).T
+                      stacklevel=2)
+        Szz[singular] += 1e-9 * np.eye(K)
+    C = np.linalg.solve(Szz, (Y @ M)[:, :, None])[:, :, 0]
+    d = ybar - (C * (mubar + shift)).sum(axis=1)
+    resid = Y - C @ M.T + (C * mubar).sum(axis=1)[:, None]
+    cross = np.einsum("ik,ikl,il->i", C, Scov, C)
+    psi = ((W * resid ** 2).sum(axis=1) + cross) / n
+    return C, d, np.maximum(psi, 1e-12)
 
 
 def orthogonalize(loading: np.ndarray) -> np.ndarray:

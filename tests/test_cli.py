@@ -106,13 +106,20 @@ class TestTrain:
         assert payload["n_latents"] == 2
 
     def test_unknown_config_key(self, tmp_path, capsys, caplog, multivariate_csv):
+        # a key is unknown unless the chosen subcommand has an option for it;
+        # the config is read before any input file
+        train = ("train", "--input", str(multivariate_csv), "--model", str(tmp_path / "m.json"))
+        absent = str(tmp_path / "absent.csv")
+        cases = [(train, "iterations"), (train, "seed"), (train, "scenario"),
+                 (("score", "--input", absent, "--model", absent), "threshold"),
+                 (("eval", "--input", absent, "--labels", absent), "seed")]
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"iterations": 5}))
-        code, _, _ = run(capsys, "train", "--input", str(multivariate_csv),
-                         "--model", str(tmp_path / "m.json"),
-                         "--config", str(config))
-        assert code == 2
-        assert "iterations" in caplog.text
+        for argv, key in cases:
+            config.write_text(json.dumps({key: 3}))
+            caplog.clear()
+            code, _, _ = run(capsys, *argv, "--config", str(config))
+            assert code == 2, (argv[0], key)
+            assert key in caplog.text
 
     def test_config_rho_conflict(self, tmp_path, capsys, multivariate_csv):
         config = tmp_path / "cfg.json"
@@ -438,6 +445,22 @@ class TestPipeline:
         assert case["name"] == "case"
         assert payload["mean_f1"] == case["report"]["f1"]
         assert case["report"]["f1"] > 0.5  # obvious spike is found
+
+    def test_robust_scope_config_key(self, tmp_path, capsys):
+        # pipeline has no --robust-scope flag; its config sets the gating
+        base = ("pipeline", "--scenario", "explain", "--length", "160", "--dims", "4",
+                "--max-iters", "2")
+        texts = {}
+        for scope in ("default", "joint", "per_dim"):
+            argv = base
+            if scope != "default":
+                config = tmp_path / f"{scope}.json"
+                config.write_text(json.dumps({"robust_scope": scope}))
+                argv += ("--config", str(config))
+            run_json(capsys, *argv, "--output", str(tmp_path / scope))
+            texts[scope] = (tmp_path / scope / "explain_scores.csv").read_text()
+        assert texts["joint"] == texts["default"]
+        assert texts["per_dim"] != texts["joint"]
 
     def test_scenario_and_input_exclusive(self, tmp_path, capsys, caplog):
         code, _, _ = run(capsys, "pipeline", "--scenario", "robust",

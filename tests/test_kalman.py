@@ -297,6 +297,13 @@ class TestSmoother:
         with pytest.raises(ParameterError):
             rts_smooth([GaussianState([0.0], [[1.0]])] * 3, [], [])
 
+    def test_singular_prediction_names_step(self):
+        s = GaussianState([0.0], [[1.0]])
+        trans = DiscretizedTransition(np.array([[0.5]]), np.array([[0.75]]), 1.0)
+        with pytest.raises(NumericalError,
+                           match="singular predicted covariance in smoothing step 1$"):
+            rts_smooth([s] * 4, [s, GaussianState([0.0], [[0.0]]), s], [trans] * 3)
+
     def test_single_state_passthrough(self):
         s = GaussianState([0.5], [[2.0]])
         out = rts_smooth([s], [], [])

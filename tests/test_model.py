@@ -7,11 +7,14 @@ import numpy as np
 import pytest
 import scipy.optimize
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssgpfa import (
     DEFAULT_UNIVARIATE_KERNEL,
     ConfigError,
     InputError,
+    LatentPosterior,
     NumericalError,
     ParameterError,
     SsgpfaModel,
@@ -221,7 +224,97 @@ def expected_nll(post, values, C, d, psi, mask=None):
     return total
 
 
+def m_step_reference(post, values, mask):
+    """The M-step formula of ``m_step``, one dimension at a time."""
+    D, T = values.shape
+    means, covs = post.means, post.covs
+    K = means.shape[1]
+    C, d, psi = np.zeros((D, K)), np.zeros(D), np.zeros(D)
+    for i in range(D):
+        sel = mask[i]
+        y_i, mu_i = values[i, sel], means[sel]
+        ybar, mubar = y_i.mean(), mu_i.mean(axis=0)
+        Mc = mu_i - mubar
+        Szz = covs[sel].sum(axis=0) + Mc.T @ Mc
+        cond = np.linalg.cond(Szz)
+        if not np.isfinite(cond) or cond > 1e12:
+            Szz = Szz + 1e-9 * np.eye(K)
+        C[i] = np.linalg.solve(Szz, (y_i - ybar) @ Mc)
+        d[i] = ybar - C[i] @ mubar
+        resid = y_i - mu_i @ C[i] - d[i]
+        cross = np.einsum("k,tkl,l->", C[i], covs[sel], C[i])
+        psi[i] = (resid ** 2).sum() / sel.sum() + cross / sel.sum()
+    return C, d, np.maximum(psi, 1e-12)
+
+
 class TestMStep:
+    @settings(max_examples=50, deadline=None)
+    @given(D=st.integers(1, 6), k_frac=st.floats(0.0, 1.0), T=st.integers(5, 60),
+           observed=st.floats(0.05, 1.0), shift=st.floats(-100.0, 100.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_per_dimension_reference(self, D, k_frac, T, observed, shift, seed):
+        rng = np.random.default_rng(seed)
+        K = 1 + int(k_frac * (D - 1))
+        B = 0.5 * rng.standard_normal((T, K, K))
+        post = LatentPosterior(rng.standard_normal((T, K)) + shift,
+                               B @ B.transpose(0, 2, 1) + 0.1 * np.eye(K), 0.0,
+                               np.ones(T, dtype=bool))
+        Y = 2.0 * rng.standard_normal((D, T)) + rng.uniform(-5.0, 5.0, (D, 1))
+        mask = rng.random((D, T)) < observed
+        mask[np.arange(D), rng.integers(0, T, D)] = True
+        for got, want in zip(m_step(post, Y, mask), m_step_reference(post, Y, mask)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @settings(max_examples=50, deadline=None)
+    @given(D=st.integers(1, 6), k_frac=st.floats(0.0, 1.0), T=st.integers(20, 400),
+           seed=st.integers(0, 2**32 - 1))
+    def test_block_masks_on_drifting_latents(self, D, k_frac, T, seed):
+        # each dimension is seen on one contiguous block of a Brownian latent
+        # path, so its own latent mean can sit far from the overall one that
+        # m_step centers on; the moments then lose digits as the square of
+        # that distance over the latent spread, hence a normwise bound
+        rng = np.random.default_rng(seed)
+        K = 1 + int(k_frac * (D - 1))
+        B = 0.5 * rng.standard_normal((T, K, K))
+        post = LatentPosterior(np.cumsum(rng.standard_normal((T, K)), axis=0),
+                               B @ B.transpose(0, 2, 1) + 0.1 * np.eye(K), 0.0,
+                               np.ones(T, dtype=bool))
+        Y = 2.0 * rng.standard_normal((D, T)) + rng.uniform(-5.0, 5.0, (D, 1))
+        mask = np.zeros((D, T), dtype=bool)
+        for i in range(D):
+            length = rng.integers(2, max(3, T // 5))
+            start = rng.integers(0, T - length + 1)
+            mask[i, start:start + length] = True
+        for got, want in zip(m_step(post, Y, mask), m_step_reference(post, Y, mask)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-11 * np.abs(want).max())
+
+    def test_singular_dimension_gets_ridge(self):
+        # dimension 1 is observed once and every covariance is zero, so its
+        # second-moment matrix vanishes; the other rows must not notice
+        rng = np.random.default_rng(21)
+        T, K = 20, 2
+        post = LatentPosterior(rng.standard_normal((T, K)), np.zeros((T, K, K)), 0.0,
+                               np.ones(T, dtype=bool))
+        Y = rng.standard_normal((3, T))
+        mask = np.ones(Y.shape, dtype=bool)
+        mask[1] = False
+        mask[1, 4] = True
+        with pytest.warns(UserWarning, match="ridge"):
+            C, d, psi = m_step(post, Y, mask)
+        C_ref, d_ref, psi_ref = m_step_reference(post, Y, mask)
+        np.testing.assert_array_equal(C[1], 0.0)
+        assert d[1] == Y[1, 4]
+        assert psi[1] == 1e-12
+        for got, want in ((C, C_ref), (d, d_ref), (psi, psi_ref)):
+            np.testing.assert_allclose(got[[0, 2]], want[[0, 2]], rtol=1e-12, atol=1e-12)
+
+    def test_unobserved_dimension_named(self):
+        t, Y, C_true, d_true = toy_data(D=4, K=2, T=20, seed=11)
+        post = e_step(toy_model(C_true, offset=d_true), Y, t)
+        Y[1:3] = np.nan
+        with pytest.raises(InputError, match="dimension 1 has no observed values"):
+            m_step(post, Y)
+
     def test_beats_nearby_parameters(self):
         t, Y, C_true, d_true = toy_data(D=3, K=2, T=30, seed=7)
         model = toy_model(C_true, offset=d_true, mode="unconstrained")
