@@ -6,9 +6,10 @@ success, 2 for configuration or input problems, 3 for numerical
 failures, 4 for evaluation-domain errors (such as label sets with no
 positives).
 
-Flags beat config-file entries, which beat built-in defaults. The
+Flags beat config-file entries, which beat the flags' defaults. The
 config file is JSON whose keys mirror the long flag names with
-underscores (for example ``{"max_iters": 10, "mode": "orthogonal"}``).
+underscores (for example ``{"max_iters": 10, "mode": "orthogonal"}``);
+each value goes through its flag's own type and choices.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import json
 import logging
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -38,32 +40,6 @@ __all__ = ["main", "build_parser"]
 
 log = logging.getLogger("ssgpfa")
 
-_DEFAULTS = {
-    "kernels": None,
-    "latents": None,
-    "mode": "orthogonal",
-    "rho": None,
-    "log_rho": None,
-    "robust": None,
-    "robust_scope": "joint",
-    "max_iters": 50,
-    "tol": 1e-6,
-    "seed": 0,
-    "threshold": None,
-    "sweep": False,
-    "dataset_layout": "csv",
-    "scenario": None,
-    "length": 300,
-    "dims": 8,
-    "labels": None,
-    "curve": None,
-    "input": None,
-    "model": None,
-    "output": None,
-    "config": None,
-    "train_fraction": 0.2,
-}
-
 
 def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
@@ -75,119 +51,134 @@ def _parse_bool(text: str) -> bool:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build()[0]
+
+
+def _build():
+    """The ``ssgpfa`` parser, its subcommand parsers by name, and the
+    action of every option by destination. A destination means the same
+    in every subcommand, so its action also reads config-file values."""
+    options = {}
+
+    def option(owner, *flags, **kwargs):
+        action = owner.add_argument(*flags, **kwargs)
+        options[action.dest] = action
+
+    config = argparse.ArgumentParser(add_help=False)
+    option(config, "--config", help="JSON config file; flags override its entries")
+
+    gate = argparse.ArgumentParser(add_help=False)
+    group = gate.add_mutually_exclusive_group()
+    option(group, "--rho", type=float, default=DEFAULT_RHO,
+           help="robust acceptance threshold (default: %(default)s)")
+    option(group, "--log-rho", type=float, help="log-space robust threshold; overrides --rho")
+    option(gate, "--robust", type=_parse_bool, metavar="{true,false}",
+           help="toggle the robust gate; unset, training is ungated and scoring gated")
+
+    fit = argparse.ArgumentParser(add_help=False)
+    option(fit, "--kernels", help="semicolon-separated kernel expressions")
+    option(fit, "--latents", type=int, help="number of latent processes")
+    option(fit, "--mode", choices=["orthogonal", "unconstrained"], default="orthogonal",
+           help="loading constraint (default: %(default)s)")
+    option(fit, "--max-iters", type=int, default=50, help="EM iteration cap (default: %(default)s)")
+    option(fit, "--tol", type=float, default=1e-6,
+           help="relative log-likelihood tolerance (default: %(default)s)")
+
+    draw = argparse.ArgumentParser(add_help=False)
+    option(draw, "--scenario", choices=sorted(data_mod.SCENARIOS),
+           help="synthetic dataset to generate")
+    option(draw, "--length", type=int, default=300, help="series length (default: %(default)s)")
+    option(draw, "--dims", type=int, default=8,
+           help="observed dimensions, explain scenario (default: %(default)s)")
+    option(draw, "--seed", type=int, default=0, help="RNG seed (default: %(default)s)")
+
     parser = argparse.ArgumentParser(
         prog="ssgpfa",
         description="Linear-time online anomaly detection with latent GP factors.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    def common(p: argparse.ArgumentParser, *, rho: bool = False) -> None:
-        p.add_argument("--config", help="JSON config file; flags override its entries")
-        if rho:
-            group = p.add_mutually_exclusive_group()
-            group.add_argument("--rho", type=float,
-                               help=f"robust acceptance threshold (default {DEFAULT_RHO:g})")
-            group.add_argument("--log-rho", dest="log_rho", type=float,
-                               help="log-space robust threshold; overrides --rho")
-            p.add_argument("--robust", type=_parse_bool, metavar="{true,false}",
-                           help="toggle the robust gate")
+    def command(name, func, help, *parents):
+        p = sub.add_parser(name, help=help, parents=[config, *parents])
+        p.set_defaults(func=func)
+        commands[name] = p
+        return p
 
-    p_train = sub.add_parser("train", help="fit a model from a training CSV")
-    p_train.add_argument("--input", help="training CSV")
-    p_train.add_argument("--model", help="where to write the model JSON")
-    p_train.add_argument("--kernels", help="semicolon-separated kernel expressions")
-    p_train.add_argument("--latents", type=int, help="number of latent processes")
-    p_train.add_argument("--mode", choices=["orthogonal", "unconstrained"])
-    p_train.add_argument("--max-iters", dest="max_iters", type=int, help="EM iteration cap")
-    p_train.add_argument("--tol", type=float, help="relative log-likelihood tolerance")
-    common(p_train, rho=True)
-    p_train.set_defaults(func=cmd_train)
+    p = command("train", cmd_train, "fit a model from a training CSV", fit, gate)
+    option(p, "--input", help="training CSV")
+    option(p, "--model", help="where to write the model JSON")
 
-    p_score = sub.add_parser("score", help="stream anomaly scores for a CSV")
-    p_score.add_argument("--input", help="CSV to score")
-    p_score.add_argument("--model", help="model JSON from train")
-    p_score.add_argument("--output", help="score CSV path (default: stdout)")
-    p_score.add_argument("--robust-scope", dest="robust_scope",
-                         choices=["joint", "per_dim"],
-                         help="gate whole points (joint) or single dimensions")
-    common(p_score, rho=True)
-    p_score.set_defaults(func=cmd_score)
+    p = command("score", cmd_score, "stream anomaly scores for a CSV", gate)
+    option(p, "--input", help="CSV to score")
+    option(p, "--model", help="model JSON from train")
+    option(p, "--output", help="score CSV path (default: stdout)")
+    option(p, "--robust-scope", choices=["joint", "per_dim"], default="joint",
+           help="gate whole points or single dimensions (default: %(default)s)")
 
-    p_eval = sub.add_parser("eval", help="range-adjusted metrics for a score CSV")
-    p_eval.add_argument("--input", help="score CSV from the score command")
-    p_eval.add_argument("--labels", help="CSV whose is_anomaly column supplies labels")
-    group = p_eval.add_mutually_exclusive_group()
-    group.add_argument("--threshold", type=float, help="fixed decision threshold")
-    group.add_argument("--sweep", action="store_true", default=None,
-                       help="search the best-F1 threshold (default)")
-    p_eval.add_argument("--curve", help="also write the full threshold curve CSV here")
-    common(p_eval)
-    p_eval.set_defaults(func=cmd_eval)
+    p = command("eval", cmd_eval, "range-adjusted metrics for a score CSV")
+    option(p, "--input", help="score CSV from the score command")
+    option(p, "--labels", help="CSV whose is_anomaly column supplies labels")
+    group = p.add_mutually_exclusive_group()
+    option(group, "--threshold", type=float, help="fixed decision threshold")
+    option(group, "--sweep", action="store_true", help="search the best-F1 threshold (default)")
+    option(p, "--curve", help="also write the full threshold curve CSV here")
 
-    p_synth = sub.add_parser("synth", help="generate a labeled synthetic dataset")
-    p_synth.add_argument("--scenario", choices=sorted(data_mod.SCENARIOS),
-                         help="which dataset to generate")
-    p_synth.add_argument("--length", type=int, help="series length")
-    p_synth.add_argument("--dims", type=int, help="observed dimensions (explain scenario)")
-    p_synth.add_argument("--output", help="CSV path for the series")
-    p_synth.add_argument("--seed", type=int, help="RNG seed (default 0)")
-    common(p_synth)
-    p_synth.set_defaults(func=cmd_synth)
+    p = command("synth", cmd_synth, "generate a labeled synthetic dataset", draw)
+    option(p, "--output", help="CSV path for the series")
 
-    p_pipe = sub.add_parser(
-        "pipeline", help="synth/load, train, score and evaluate in one run")
-    p_pipe.add_argument("--scenario", choices=sorted(data_mod.SCENARIOS),
-                        help="synthetic scenario to run end to end")
-    p_pipe.add_argument("--input", help="dataset root or CSV (alternative to --scenario)")
-    p_pipe.add_argument("--dataset-layout", dest="dataset_layout",
-                        choices=["csv", "nab", "nasa", "smd"],
-                        help="directory layout under --input")
-    p_pipe.add_argument("--output", help="directory for models and score files")
-    p_pipe.add_argument("--kernels", help="semicolon-separated kernel expressions")
-    p_pipe.add_argument("--latents", type=int, help="number of latent processes")
-    p_pipe.add_argument("--mode", choices=["orthogonal", "unconstrained"])
-    p_pipe.add_argument("--max-iters", dest="max_iters", type=int)
-    p_pipe.add_argument("--tol", type=float)
-    p_pipe.add_argument("--length", type=int, help="series length for --scenario")
-    p_pipe.add_argument("--dims", type=int, help="dimensions for --scenario explain")
-    p_pipe.add_argument("--threshold", type=float,
-                        help="fixed threshold instead of the best-F1 sweep")
-    p_pipe.add_argument("--seed", type=int, help="RNG seed for --scenario (default 0)")
-    common(p_pipe, rho=True)
-    # no flags; these defaults make them pipeline config keys
-    p_pipe.set_defaults(func=cmd_pipeline, train_fraction=None, robust_scope=None)
+    p = command("pipeline", cmd_pipeline, "synth/load, train, score and evaluate in one run",
+                draw, fit, gate)
+    option(p, "--input", help="dataset root or CSV (alternative to --scenario)")
+    option(p, "--dataset-layout", choices=["csv", "nab", "nasa", "smd"], default="csv",
+           help="directory layout under --input (default: %(default)s)")
+    option(p, "--output", help="directory for models and score files")
+    option(p, "--threshold", type=float, help="fixed threshold instead of the best-F1 sweep")
+    # config keys with no pipeline flag
+    p.set_defaults(train_fraction=0.2, robust_scope="joint")
 
-    return parser
+    return parser, commands, options
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
-    """Defaults, then config-file entries, then explicit flags; a config
-    key must name an option of the chosen subcommand."""
-    cfg = dict(_DEFAULTS)
-    path = getattr(args, "config", None)
-    if path:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                loaded = json.load(fh)
-        except OSError as exc:
-            raise InputError(f"cannot read config file {path}: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
-        if not isinstance(loaded, dict):
-            raise ConfigError(f"config file {path} must hold a JSON object")
-        unknown = sorted(set(loaded) - set(_DEFAULTS).intersection(vars(args)))
-        if unknown:
-            raise ConfigError(f"unknown config keys for {args.command}: {', '.join(unknown)}")
-        if loaded.get("rho") is not None and loaded.get("log_rho") is not None:
-            raise ConfigError("config sets both rho and log_rho; pick one")
-        if loaded.get("threshold") is not None and loaded.get("sweep"):
-            raise ConfigError("config sets both threshold and sweep; pick one")
-        cfg.update(loaded)
-    for key in _DEFAULTS:
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = value
-    return cfg
+def _read_config(args: argparse.Namespace, options: dict) -> dict:
+    """The config file's entries, each converted and checked by the option
+    of its name; a key must name an option of the chosen subcommand, and a
+    null leaves the option at its default."""
+    path = args.config
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            loaded = json.load(fh)
+    except OSError as exc:
+        raise InputError(f"cannot read config file {path}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+    if not isinstance(loaded, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object")
+    unknown = sorted(loaded.keys() - (vars(args).keys() - {"command", "func"}))
+    if unknown:
+        raise ConfigError(f"unknown config keys for {args.command}: {', '.join(unknown)}")
+    values = {key: _config_value(options[key], key, value) if key in options else value
+              for key, value in loaded.items() if value is not None}
+    if "rho" in values and "log_rho" in values:
+        raise ConfigError("config sets both rho and log_rho; pick one")
+    if "threshold" in values and values.get("sweep"):
+        raise ConfigError("config sets both threshold and sweep; pick one")
+    return values
+
+
+def _config_value(action: argparse.Action, key: str, value):
+    """``value`` read as its flag reads text: a string as it is, anything
+    else as its JSON text."""
+    text = value if isinstance(value, str) else json.dumps(value)
+    convert = action.type or (_parse_bool if action.nargs == 0 else str)
+    try:
+        value = convert(text)
+    except (ValueError, argparse.ArgumentTypeError):
+        raise ConfigError(f"config key {key}: invalid value {text!r}") from None
+    if action.choices is not None and value not in action.choices:
+        raise ConfigError(f"config key {key}: {value!r} is not one of "
+                          f"{', '.join(action.choices)}")
+    return value
 
 
 def _kernel_list(cfg: dict):
@@ -195,10 +186,7 @@ def _kernel_list(cfg: dict):
         if cfg["latents"] is not None:
             return model_mod.default_multivariate_kernels(cfg["latents"])
         return None
-    if isinstance(cfg["kernels"], str):
-        exprs = [part.strip() for part in cfg["kernels"].split(";") if part.strip()]
-    else:
-        exprs = list(cfg["kernels"])
+    exprs = [part.strip() for part in cfg["kernels"].split(";") if part.strip()]
     if not exprs:
         raise ConfigError("no kernel expressions given")
     if cfg["latents"] is not None and cfg["latents"] != len(exprs):
@@ -236,24 +224,10 @@ def _emit(payload: dict) -> None:
     sys.stdout.write("\n")
 
 
-def _report_dict(report: EvalReport) -> dict:
-    return {
-        "threshold": report.threshold,
-        "precision": report.precision,
-        "recall": report.recall,
-        "f1": report.f1,
-        "true_positives": report.true_positives,
-        "false_positives": report.false_positives,
-        "false_negatives": report.false_negatives,
-    }
-
-
 def _train_model(series, cfg: dict):
-    robust = cfg["robust"] if cfg["robust"] is not None else False
     robust_log_rho = None
-    if robust:
-        robust_log_rho = _log_threshold(DEFAULT_RHO if cfg["rho"] is None else cfg["rho"],
-                                        cfg["log_rho"])
+    if cfg["robust"]:
+        robust_log_rho = _log_threshold(cfg["rho"], cfg["log_rho"])
     return model_mod.train_series(
         series,
         kernels=_kernel_list(cfg),
@@ -286,7 +260,7 @@ def cmd_train(cfg: dict) -> int:
 
 def _scoring_kwargs(cfg: dict) -> dict:
     return {
-        "rho": DEFAULT_RHO if cfg["rho"] is None else cfg["rho"],
+        "rho": cfg["rho"],
         "log_rho": cfg["log_rho"],
         "robust": cfg["robust"] if cfg["robust"] is not None else True,
         "robust_scope": cfg["robust_scope"],
@@ -396,7 +370,7 @@ def cmd_eval(cfg: dict) -> int:
     if cfg["curve"]:
         _write_curve(cfg["curve"], sweep_curve(scores, labels))
         log.info("wrote threshold curve to %s", cfg["curve"])
-    _emit({"report": _report_dict(report), "n_points": int(scores.size)})
+    _emit({"report": asdict(report), "n_points": int(scores.size)})
     return 0
 
 
@@ -447,7 +421,7 @@ def _pipeline_case(name, train, test, cfg, out_dir):
         "name": name,
         "n_train": train.length,
         "n_test": test.length,
-        "report": _report_dict(report),
+        "report": asdict(report),
     }
 
 
@@ -484,11 +458,14 @@ def cmd_pipeline(cfg: dict) -> int:
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(levelname)s %(message)s")
-    parser = build_parser()
+    parser, commands, options = _build()
     args = parser.parse_args(argv)
     try:
-        cfg = _merge_config(args)
-        return args.func(cfg)
+        if args.config:
+            # flags beat config entries, which beat the flags' defaults
+            commands[args.command].set_defaults(**_read_config(args, options))
+            args = parser.parse_args(argv)
+        return args.func(vars(args))
     except EvaluationError as exc:
         log.error("%s", exc)
         return 4

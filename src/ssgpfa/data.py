@@ -39,7 +39,6 @@ __all__ = [
     "load_csv",
     "write_csv",
     "iter_csv_rows",
-    "read_csv_header",
     "split_train_test",
     "load_benchmark_layout",
 ]
@@ -179,16 +178,14 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(int(seed)))
 
 
-def gen_univariate(length: int, seed: int = 0, *, noiseless: bool = False,
-                   noise_as_std: bool = False) -> LabeledSeries:
+def gen_univariate(length: int, seed: int = 0, *, noiseless: bool = False) -> LabeledSeries:
     """Drifting quasi-periodic test signal.
 
         y(t) = cos(0.04 t + 0.33 pi) sin(0.2 t) + eps + (5/300) t
 
-    at integer t, with eps drawn i.i.d. Gaussian. The noise parameter
-    0.15 is interpreted as a variance by default; ``noise_as_std``
-    switches that reading. ``noiseless`` drops eps entirely. Labels are
-    all zero; anomalies are injected separately.
+    at integer t, with eps drawn i.i.d. Gaussian of variance 0.15.
+    ``noiseless`` drops eps entirely. Labels are all zero; anomalies are
+    injected separately.
     """
     if length < 1:
         raise ParameterError(f"length must be >= 1, got {length}")
@@ -197,8 +194,7 @@ def gen_univariate(length: int, seed: int = 0, *, noiseless: bool = False,
     if noiseless:
         y = signal
     else:
-        scale = 0.15 if noise_as_std else math.sqrt(0.15)
-        y = signal + scale * _rng(seed).standard_normal(length)
+        y = signal + math.sqrt(0.15) * _rng(seed).standard_normal(length)
     return LabeledSeries(t, y[None, :], labels=np.zeros(length, dtype=np.int8))
 
 
@@ -377,13 +373,6 @@ def _parse_timestamp(text: str, path, line_no: int) -> float:
     if not math.isfinite(t):
         raise InputError(f"{path}: line {line_no}: timestamp {text!r} is not finite")
     return t
-
-
-def read_csv_header(path):
-    """Validate the header line; returns (n_dims, has_labels)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-    return _parse_header(header, path)
 
 
 def _parse_header(header: str, path) -> tuple[int, bool]:

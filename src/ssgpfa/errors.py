@@ -5,6 +5,16 @@ problems exit 2, numerical degeneracies exit 3, evaluation-domain
 problems exit 4.
 """
 
+__all__ = [
+    "SsgpfaError",
+    "ParameterError",
+    "UnsupportedKernelError",
+    "ConfigError",
+    "InputError",
+    "NumericalError",
+    "EvaluationError",
+]
+
 
 class SsgpfaError(Exception):
     """Base class for all package-specific errors."""

@@ -81,6 +81,7 @@ __all__ = [
     "load_model",
     "model_to_dict",
     "model_from_dict",
+    "default_multivariate_kernels",
     "DEFAULT_UNIVARIATE_KERNEL",
     "DEFAULT_MULTIVARIATE_LENGTHSCALES",
 ]
@@ -687,8 +688,7 @@ def fit_univariate(y: np.ndarray, timestamps,
 
 def train_series(series, *, kernels=None, mode: str = "orthogonal",
                  max_iters: int = 50, tol: float = 1e-6,
-                 robust_log_rho: float | None = None, optimize: bool = True,
-                 noise_variance: float = 0.1, max_outer: int = 20) -> SsgpfaModel:
+                 robust_log_rho: float | None = None, optimize: bool = True) -> SsgpfaModel:
     """Standardize a series and train the matching model type.
 
     Univariate input fits kernel hyperparameters directly
@@ -712,9 +712,7 @@ def train_series(series, *, kernels=None, mode: str = "orthogonal",
             if len(kernels) > 1:
                 raise ConfigError("univariate series take a single kernel expression")
             expr = kernels[0]
-        model = fit_univariate(scaled[0], timestamps, expr,
-                               noise_variance=noise_variance, optimize=optimize,
-                               max_outer=max_outer)
+        model = fit_univariate(scaled[0], timestamps, expr, optimize=optimize)
     else:
         if kernels is None:
             n_latents = min(D, len(DEFAULT_MULTIVARIATE_LENGTHSCALES))

@@ -121,6 +121,39 @@ class TestTrain:
             assert code == 2, (argv[0], key)
             assert key in caplog.text
 
+    @pytest.mark.parametrize("entry, flags", [
+        ({"robust": "false", "max_iters": 2}, ("--robust", "false", "--max-iters", "2")),
+        ({"robust": False, "max_iters": 2}, ("--robust", "false", "--max-iters", "2")),
+        ({"max_iters": "2"}, ("--max-iters", "2")),
+        ({"max_iters": 2, "robust": None}, ("--max-iters", "2")),
+    ])
+    def test_config_value_reads_as_flag(self, tmp_path, capsys, entry, flags):
+        # a config value goes through its flag's own type: the string
+        # "false" turns the gate off, as --robust false does; a null
+        # leaves the option at its default
+        data = tmp_path / "explain.csv"
+        run_json(capsys, "synth", "--scenario", "explain", "--output", str(data))
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(entry))
+        args = ("train", "--input", str(data), "--latents", "2")
+        by_config, by_flag = tmp_path / "config.json", tmp_path / "flag.json"
+        run_json(capsys, *args, "--model", str(by_flag), *flags)
+        run_json(capsys, *args, "--model", str(by_config), "--config", str(config))
+        assert by_config.read_bytes() == by_flag.read_bytes()
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("train", "max_iters", 2.5),
+        ("train", "mode", "diag"),
+        ("train", "robust", "maybe"),
+        ("synth", "length", "x"),
+    ])
+    def test_bad_config_value(self, tmp_path, capsys, caplog, command, key, value):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({key: value}))
+        code, _, _ = run(capsys, command, "--config", str(config))
+        assert code == 2
+        assert f"config key {key}" in caplog.text
+
     def test_config_rho_conflict(self, tmp_path, capsys, multivariate_csv):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"rho": 1e-9, "log_rho": -5.0}))

@@ -20,7 +20,6 @@ from ssgpfa.data import (
     iter_csv_rows,
     load_benchmark_layout,
     load_csv,
-    read_csv_header,
     scenario_clean,
     scenario_explain,
     scenario_robust,
@@ -109,12 +108,10 @@ class TestGenUnivariate:
         assert not np.array_equal(a.values, b.values)
 
     def test_noise_scale_interpretation(self):
-        # default reads 0.15 as a variance; the flag reads it as a std
+        # 0.15 is the noise variance
         base = gen_univariate(4096, noiseless=True).values[0]
-        var_mode = gen_univariate(4096, seed=3).values[0] - base
-        std_mode = gen_univariate(4096, seed=3, noise_as_std=True).values[0] - base
-        assert np.std(var_mode) == pytest.approx(math.sqrt(0.15), rel=0.05)
-        assert np.std(std_mode) == pytest.approx(0.15, rel=0.05)
+        noise = gen_univariate(4096, seed=3).values[0] - base
+        assert np.std(noise) == pytest.approx(math.sqrt(0.15), rel=0.05)
 
     def test_labels_present_and_clean(self):
         s = gen_univariate(10)
@@ -234,7 +231,6 @@ class TestCsv:
         p = tmp_path / "x.csv"
         p.write_text("timestamp,dim_0,dim_1,is_anomaly\n1,0.5,,0\n2,,1.25,1\n")
         s = load_csv(p)
-        assert read_csv_header(p) == (2, True)
         np.testing.assert_array_equal(s.mask, [[True, False], [False, True]])
         np.testing.assert_array_equal(s.labels, [0, 1])
         assert s.values[1, 1] == 1.25
