@@ -134,8 +134,9 @@ def _build():
            help="directory layout under --input (default: %(default)s)")
     option(p, "--output", help="directory for models and score files")
     option(p, "--threshold", type=float, help="fixed threshold instead of the best-F1 sweep")
-    # config keys with no pipeline flag
+    # config keys with no pipeline flag, read like one; split_train_test checks the range
     p.set_defaults(train_fraction=0.2, robust_scope="joint")
+    options["train_fraction"] = argparse.Action([], "train_fraction", type=float)
 
     return parser, commands, options
 

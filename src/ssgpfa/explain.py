@@ -12,7 +12,8 @@ observed rows of C: the least-squares, minimum-norm map, which mixes
 latents. It is solved from a Cholesky factor of the K x K Gram of those
 rows, and by an SVD only when their columns are (nearly) dependent.
 :func:`project_latents` warns when it is called on a non-orthogonal
-model; online scoring uses the same rule without the warning.
+model. Online scoring's stacked rows use the same rule without the
+warning; its per-latent filter rows already hold u = C^T (y - d).
 
 The reconstruction error ||(y - d) - C v|| measures how far the
 observation lies outside the latent subspace altogether; offsets and

@@ -39,7 +39,8 @@ caller's states check their shapes: :func:`predict`, :func:`update` and
     One block per latent of an orthogonal factor model, each observing
     its projected pseudo-observation u_k = c_k^T (y - d). Valid only on
     fully observed rows: the first partially observed row merges the
-    blocks into the stacked layout for the rest of the pass.
+    blocks into the stacked layout for the rest of the pass. A step's
+    ``latent`` keeps these rows' per-block terms for attribution.
 
 The robust gate scores each point on its predictive likelihood and
 absorbs it only above ``log(rho)``, jointly or per dimension, so
@@ -341,6 +342,7 @@ class _Step(NamedTuple):
     log_likelihood: float
     marginals: np.ndarray | None
     accepted: bool
+    latent: tuple | None = None
 
 
 def _filter_steps(rows: Iterable, kernels: Sequence[StateSpaceKernel],
@@ -371,7 +373,9 @@ def _filter_steps(rows: Iterable, kernels: Sequence[StateSpaceKernel],
 
     Each step carries the per-dimension marginal log-likelihoods (NaN
     where missing), except on per-latent rows, which have no
-    per-dimension innovation: there ``marginals`` is None.
+    per-dimension innovation: there ``marginals`` is None and ``latent``
+    holds the blocks' innovations, their (1, 1) variances and their
+    log-likelihoods, then r - C u and its norm; stacked rows hold None.
     """
     blocks = list(kernels)
     states = [GaussianState(np.zeros(k.state_dim), k.initial_cov.copy()) for k in blocks]
@@ -380,7 +384,7 @@ def _filter_steps(rows: Iterable, kernels: Sequence[StateSpaceKernel],
     if loading is not None:
         sigma2 = float(obs.R[0])
         block_obs = [univariate_observation_model(k, sigma2) for k in blocks]
-        perp_dims = D - loading.shape[1]
+        perp_logdet = (D - loading.shape[1]) * (_LOG_2PI + math.log(sigma2))
     prev_t = None
 
     for i, (t, y, observed) in enumerate(rows):
@@ -416,19 +420,17 @@ def _filter_steps(rows: Iterable, kernels: Sequence[StateSpaceKernel],
                 if n_obs < D:
                     lls, marginals = marginals, np.full(D, np.nan)
                     marginals[observed] = lls
-                candidates = [candidate]
+                candidates, latent = [candidate], None
             else:
                 r = y - obs.offset
                 u = loading.T @ r
                 updates = [_update(pred, u_k, ob, None, 1)
                            for pred, u_k, ob in zip(predicted, u[:, None], block_obs)]
-                candidates = [step[0] for step in updates]
-                joint = sum(step[4] for step in updates)
-                if perp_dims:
-                    perp_sq = max(float(r @ r - u @ u), 0.0)
-                    joint += -0.5 * (perp_dims * (_LOG_2PI + math.log(sigma2))
-                                     + perp_sq / sigma2)
-                marginals = None
+                candidates, v, S, _, lls, _ = zip(*updates)
+                resid = r - loading @ u
+                recon = math.sqrt(resid @ resid)
+                joint = sum(lls) - 0.5 * (perp_logdet + recon * recon / sigma2)
+                latent, marginals = (v, S, lls, resid, recon), None
             if gate == "per_dim":
                 keep = observed & (marginals > log_rho)
                 accepted = bool(keep.any())
@@ -440,7 +442,8 @@ def _filter_steps(rows: Iterable, kernels: Sequence[StateSpaceKernel],
             raise NumericalError(f"time index {i}: {exc}") from None
 
         states = candidates if accepted else predicted
-        yield _Step(t, y, observed, transitions, predicted, states, joint, marginals, accepted)
+        yield _Step(t, y, observed, transitions, predicted, states, joint, marginals, accepted,
+                    latent)
 
 
 def robust_filter(timestamps: Sequence[float], values: np.ndarray,

@@ -55,6 +55,7 @@ from .kalman import (
     GaussianState,
     LinearObservationModel,
     TransitionCache,
+    _LOG_2PI,
     _filter_steps,
     _log_threshold,
     _update,
@@ -85,8 +86,6 @@ __all__ = [
     "DEFAULT_UNIVARIATE_KERNEL",
     "DEFAULT_MULTIVARIATE_LENGTHSCALES",
 ]
-
-_LOG_2PI = math.log(2.0 * math.pi)
 
 # Reproduction defaults: four medium-to-short range Matern latents for
 # multivariate streams, and a drifting quasi-periodic combination for
@@ -226,7 +225,10 @@ class ScoredPoint:
     the largest entry attributes the anomaly. Unconstrained models, and
     orthogonal ones on partially observed rows, project through the
     pseudoinverse of the observed loadings, which mixes latents.
-    ``reconstruction_error`` is the distance from the latent subspace.
+    ``reconstruction_error`` is the distance from the latent subspace. On
+    a fully observed row of an orthogonal model the score is exactly
+    sum(latent_nlls) + ((D - K) log(2 pi sigma^2) + reconstruction_error^2
+    / sigma^2) / 2.
     """
 
     timestamp: float
@@ -301,23 +303,23 @@ def e_step(model: SsgpfaModel, values: np.ndarray, timestamps, mask=None,
     else:
         blocks, loading, readouts = (kernel,), None, [readout]
 
-    used = np.zeros(T, dtype=bool)
-    total_ll = 0.0
-    steps = list(_filter_steps(zip(t_arr.tolist(), values.T, mask.T), blocks, obs,
-                               log_rho=robust_log_rho,
-                               gate=None if robust_log_rho is None else "joint", loading=loading))
-    for i, step in enumerate(steps):
-        if np.count_nonzero(step.observed):
-            total_ll += step.log_likelihood
-            used[i] = step.accepted
+    steps = _filter_steps(zip(t_arr.tolist(), values.T, mask.T), blocks, obs,
+                          log_rho=robust_log_rho,
+                          gate=None if robust_log_rho is None else "joint", loading=loading)
+    # keep the chain the smoother reads, not each row's attribution terms
+    chain = [(s.updated, s.predicted, s.transitions, s.accepted, s.log_likelihood) for s in steps]
+    updated, predicted, transitions, accepted, lls = zip(*chain)
+    seen = mask.any(axis=0)
+    used = seen & np.array(accepted, dtype=bool)
+    total_ll = sum(ll for ll, row in zip(lls, seen) if row)
 
     means = np.zeros((T, K))
     covs = np.zeros((T, K, K))
     lo = 0
     for b, E in enumerate(readouts):
         hi = lo + E.shape[0]
-        smoothed = rts_smooth([s.updated[b] for s in steps], [s.predicted[b] for s in steps[1:]],
-                              [s.transitions[b] for s in steps[1:]])
+        smoothed = rts_smooth([s[b] for s in updated], [s[b] for s in predicted[1:]],
+                              [tr[b] for tr in transitions[1:]])
         means[:, lo:hi] = np.array([st.mean for st in smoothed]) @ E.T
         covs[:, lo:hi, lo:hi] = E @ np.array([st.cov for st in smoothed]) @ E.T
         lo = hi
@@ -573,42 +575,33 @@ def _stream_rows(model: SsgpfaModel, stream):
 
 
 def _scored_points(model: SsgpfaModel, readout: np.ndarray, steps) -> Iterator[ScoredPoint]:
-    """One :class:`ScoredPoint` per filter step, with its per-latent
-    attribution. Stacked rows read the latents' predictions through
-    ``readout``; per-latent block k is read with h_k as scalars, at half
-    the cost of a (1, L) matrix product per block."""
+    """One :class:`ScoredPoint` per filter step. A per-latent row reads the
+    filter's own terms: with r = y - d, y - E[y] = (r - C u) + C v and
+    Var y = C^2 (s - sigma^2) + sigma^2. Stacked rows read the latents'
+    predictions through ``readout`` and project by ``explain``'s rule."""
     K = model.n_latents
     C, d = model.loading, model.offset
-    C_sq = C ** 2
-    emissions = [k.emission for k in model.kernels]
+    C_sq, sigma2 = C ** 2, model.noise[0]
     for step in steps:
         y, row, marginals = step.y, step.observed, step.marginals
         if not row.any():
             yield ScoredPoint(step.timestamp, float("nan"), np.full(model.n_dims, np.nan), True,
                               np.full(K, np.nan), float("nan"))
             continue
-        if marginals is None:
-            mu_hat, s_pred = np.empty(K), np.empty(K)
-            for k, (h, st) in enumerate(zip(emissions, step.predicted)):
-                mu_hat[k] = h @ st.mean
-                s_pred[k] = h @ st.cov @ h
-            # per-latent step, so a full row and orthonormal C:
-            # y_i ~ N((C mu + d)_i, (C^2 s)_i + sigma^2)
-            mean_y = C @ mu_hat + d
-            var_y = C_sq @ s_pred + model.noise
-            marginals = -0.5 * (_LOG_2PI + np.log(var_y) + (y - mean_y) ** 2 / var_y)
+        if step.latent is not None:
+            v, S, lls, resid, recon = step.latent
+            dev, var = resid + C @ np.concatenate(v), C_sq @ (np.ravel(S) - sigma2) + model.noise
+            marginals = -0.5 * (_LOG_2PI + np.log(var) + dev * dev / var)
+            latent_nlls = -np.array(lls)
         else:
             st = step.predicted[0]
             mu_hat = readout @ st.mean
             s_pred = (readout @ st.cov @ readout.T).diagonal()
-        M, noise_vars = explain._projection(model, row)
-        v_proj = M @ (y - d)[row]
-        latent_nlls = np.array([
-            explain.scalar_nll(float(v_proj[k]), float(mu_hat[k]),
-                               float(s_pred[k] + noise_vars[k]))
-            for k in range(K)
-        ])
-        recon = explain.reconstruction_error(model, y, v_proj, row)
+            M, noise_vars = explain._projection(model, row)
+            v_proj = M @ (y - d)[row]
+            latent_nlls = np.array([explain.scalar_nll(float(x), float(m), float(s + n))
+                                    for x, m, s, n in zip(v_proj, mu_hat, s_pred, noise_vars)])
+            recon = explain.reconstruction_error(model, y, v_proj, row)
         yield ScoredPoint(step.timestamp, -step.log_likelihood, -marginals, step.accepted,
                           latent_nlls, recon)
 

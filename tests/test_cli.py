@@ -495,6 +495,25 @@ class TestPipeline:
         assert texts["joint"] == texts["default"]
         assert texts["per_dim"] != texts["joint"]
 
+    def test_train_fraction_config_key(self, tmp_path, capsys, caplog):
+        # pipeline has no --train-fraction flag; its config value reads as a
+        # number, a string as its text, like any flag's value, in (0, 1)
+        base = ("pipeline", "--scenario", "robust", "--length", "200", "--max-iters", "2")
+        splits = {}
+        for name, value in (("text", "0.3"), ("number", 0.3)):
+            config = tmp_path / f"{name}.json"
+            config.write_text(json.dumps({"train_fraction": value}))
+            payload = run_json(capsys, *base, "--config", str(config))
+            splits[name] = payload["n_train"], payload["n_test"]
+        assert splits["text"] == splits["number"] == (60, 140)
+        for value in ("abc", 1.5, 0, -0.2):
+            config = tmp_path / "bad.json"
+            config.write_text(json.dumps({"train_fraction": value}))
+            caplog.clear()
+            code, _, _ = run(capsys, *base, "--config", str(config))
+            assert code == 2
+            assert "train_fraction" in caplog.text
+
     def test_scenario_and_input_exclusive(self, tmp_path, capsys, caplog):
         code, _, _ = run(capsys, "pipeline", "--scenario", "robust",
                          "--input", str(tmp_path))

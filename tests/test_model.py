@@ -17,7 +17,9 @@ from ssgpfa import (
     LatentPosterior,
     NumericalError,
     ParameterError,
+    ScoredPoint,
     SsgpfaModel,
+    assemble_joint,
     brownian,
     cosine,
     e_step,
@@ -31,13 +33,17 @@ from ssgpfa import (
     model_to_dict,
     orthogonalize,
     parse_kernel,
+    reconstruction_error,
     robust_filter,
     save_model,
+    scalar_nll,
     score_online,
     train_series,
     univariate_observation_model,
 )
+from ssgpfa import explain
 from ssgpfa.data import LabeledSeries, gen_multivariate, SyntheticSpec
+from ssgpfa.kalman import _filter_steps
 from test_kalman import brownian_matern_gram
 
 
@@ -614,6 +620,172 @@ class TestScoreOnline:
         pts = list(score_online(model, zip(t, Y.T), robust=False))
         normal = np.median([p.reconstruction_error for p in pts[:40]])
         assert pts[44].reconstruction_error > 5 * normal
+
+
+COMPOSITE_KERNELS = ("brownian(diffusion=0.05) + matern32(lengthscale=10.0)",
+                     "matern32(lengthscale=20.0) * cosine(period=15.0)",
+                     "matern32(lengthscale=6.0)")
+
+SCORED_FIELDS = ("score", "marginal_nlls", "latent_nlls", "reconstruction_error")
+
+
+def irregular_stream(D, exprs, T, seed, noise=0.1):
+    """An orthogonal model over the latent kernel expressions ``exprs``, and
+    a stream on irregular timestamps: sines through its loading, plus noise."""
+    rng = np.random.default_rng(seed)
+    K = len(exprs)
+    t = np.cumsum(rng.exponential(1.0, T) + 0.05)
+    C, d = orthonormal(D, K, seed=seed), rng.standard_normal(D)
+    Z = np.stack([np.sin(0.1 * t + k) for k in range(K)])
+    Y = C @ Z + d[:, None] + math.sqrt(noise) * rng.standard_normal((D, T))
+    return t, Y, SsgpfaModel(tuple(map(parse_kernel, exprs)), C, d, noise)
+
+
+def scored_points_reference(model, t, Y, log_rho=None, gate=None):
+    """``score_online``'s readout as it was before per-latent rows read the
+    filter's own terms. A per-latent row reads each block's prediction
+    through h_k, rescores u = C^T (y - d) with ``scalar_nll`` and takes the
+    perpendicular term as max(r.r - u.u, 0); every row projects through
+    ``explain._projection``, scores each latent with ``scalar_nll`` and
+    measures ``reconstruction_error``. None stands for a fully missing row."""
+    kernel, obs, readout = assemble_joint(model)
+    per_latent = model.mode == "orthogonal" and gate != "per_dim"
+    blocks, loading = (model.kernels, model.loading) if per_latent else ((kernel,), None)
+    C, d, noise = model.loading, model.offset, model.noise
+    (D, K), sigma2 = C.shape, noise[0]
+    emissions = [k.emission for k in model.kernels]
+    points = []
+    for step in _filter_steps(zip(t.tolist(), Y.T, np.isfinite(Y).T), blocks, obs,
+                              log_rho=log_rho, gate=gate, loading=loading):
+        y, row = step.y, step.observed
+        if not row.any():
+            points.append(None)
+            continue
+        if step.marginals is None:
+            mu_hat = np.array([h @ st.mean for h, st in zip(emissions, step.predicted)])
+            s_pred = np.array([h @ st.cov @ h for h, st in zip(emissions, step.predicted)])
+            var_y = C ** 2 @ s_pred + noise
+            marginals = -0.5 * (math.log(2 * math.pi) + np.log(var_y)
+                                + (y - C @ mu_hat - d) ** 2 / var_y)
+            r = y - d
+            u = C.T @ r
+            joint = -sum(scalar_nll(u_k, m, s + sigma2) for u_k, m, s in zip(u, mu_hat, s_pred))
+            if D > K:
+                joint -= 0.5 * ((D - K) * (math.log(2 * math.pi) + math.log(sigma2))
+                                + max(float(r @ r - u @ u), 0.0) / sigma2)
+        else:
+            st = step.predicted[0]
+            mu_hat = readout @ st.mean
+            s_pred = (readout @ st.cov @ readout.T).diagonal()
+            marginals, joint = step.marginals, step.log_likelihood
+        M, noise_vars = explain._projection(model, row)
+        v_proj = M @ (y - d)[row]
+        latent_nlls = np.array([scalar_nll(float(x), float(m), float(s + n))
+                                for x, m, s, n in zip(v_proj, mu_hat, s_pred, noise_vars)])
+        points.append(ScoredPoint(step.timestamp, -joint, -marginals, step.accepted,
+                                  latent_nlls, reconstruction_error(model, y, v_proj, row)))
+    return points
+
+
+def assert_points_close(points, ref, tol):
+    """Timestamps and gate decisions equal, every scored field within ``tol``
+    relative to max(|value|, 1): a value near zero, such as a marginal
+    score or a reconstruction error that is only rounding residue, carries
+    the absolute rounding of its terms. A None reference is a missing row."""
+    assert len(points) == len(ref)
+    for p, q in zip(points, ref):
+        if q is None:
+            assert math.isnan(p.score) and p.accepted
+            continue
+        assert (p.timestamp, p.accepted) == (q.timestamp, q.accepted)
+        for name in SCORED_FIELDS:
+            a, b = getattr(p, name), getattr(q, name)
+            assert np.all((np.abs(a - b) <= tol * np.maximum(np.abs(b), 1.0))
+                          | (np.isnan(a) & np.isnan(b))), name
+
+
+def _score_kwargs(log_rho):
+    return {"robust": False} if log_rho is None else {"log_rho": log_rho}
+
+
+class TestPerLatentReadout:
+    """Fully observed rows of an orthogonal model are scored and attributed
+    from the per-latent filter's own terms."""
+
+    @pytest.mark.parametrize("log_rho", [None, -6.0])
+    def test_matches_reference(self, log_rho):
+        t, Y, model = irregular_stream(6, COMPOSITE_KERNELS, 150, seed=40)
+        Y[:, [20, 90, 91]] += 3.0
+        Y[:, 50] = np.nan
+        points = list(score_online(model, zip(t, Y.T), **_score_kwargs(log_rho)))
+        ref = scored_points_reference(model, t, Y, log_rho, None if log_rho is None else "joint")
+        assert_points_close(points, ref, 1e-13)
+        if log_rho is not None:
+            gated = [not p.accepted for p in points]
+            assert 0 < sum(gated) < len(points) // 2
+
+    def test_stacked_rows_after_merge_unchanged(self):
+        t, Y, model = irregular_stream(5, COMPOSITE_KERNELS[:2], 120, seed=43)
+        Y[[1, 3], 60] = np.nan  # the first partial row merges the blocks
+        Y[:, 100] += 3.0
+        points = list(score_online(model, zip(t, Y.T), log_rho=-6.0))
+        ref = scored_points_reference(model, t, Y, -6.0, "joint")
+        assert not all(p.accepted for p in points[60:])
+        assert_points_close(points[:60], ref[:60], 1e-13)
+        for p, q in zip(points[60:], ref[60:]):
+            assert p.score == q.score and p.reconstruction_error == q.reconstruction_error
+            assert p.accepted == q.accepted and p.timestamp == q.timestamp
+            assert np.array_equal(p.marginal_nlls, q.marginal_nlls, equal_nan=True)
+            assert np.array_equal(p.latent_nlls, q.latent_nlls)
+
+    def test_per_dim_gate_unchanged(self):
+        t, Y, model = irregular_stream(5, COMPOSITE_KERNELS, 80, seed=44)
+        Y[2, 40] += 4.0
+        points = list(score_online(model, zip(t, Y.T), log_rho=-1.0, robust_scope="per_dim"))
+        ref = scored_points_reference(model, t, Y, -1.0, "per_dim")
+        assert_points_close(points, ref, 0.0)
+
+    @pytest.mark.parametrize("D", [3, 7])
+    @pytest.mark.parametrize("log_rho", [None, -6.0])
+    def test_score_splits_into_latent_and_residual_parts(self, D, log_rho):
+        t, Y, model = irregular_stream(D, COMPOSITE_KERNELS, 200, seed=41)
+        Y[:, [60, 61, 150]] += 3.0
+        K, sigma2 = model.n_latents, model.noise[0]
+        for p in score_online(model, zip(t, Y.T), **_score_kwargs(log_rho)):
+            parts = p.latent_nlls.sum() + 0.5 * ((D - K) * math.log(2 * math.pi * sigma2)
+                                                 + p.reconstruction_error ** 2 / sigma2)
+            assert p.score == pytest.approx(parts, rel=1e-12, abs=0.0)
+
+    def test_full_rows_call_no_explain_function(self, monkeypatch):
+        t, Y, model = irregular_stream(5, COMPOSITE_KERNELS[:2], 60, seed=42)
+        Y[:, 30] += 3.0
+
+        def recomputed(*args, **kwargs):
+            raise AssertionError("explain function called")
+
+        for name in ("_projection", "scalar_nll", "reconstruction_error"):
+            monkeypatch.setattr(explain, name, recomputed)
+        for log_rho in (None, -6.0):
+            points = list(score_online(model, zip(t, Y.T), **_score_kwargs(log_rho)))
+            assert len(points) == 60
+        Y[0, 45] = np.nan
+        with pytest.raises(AssertionError, match="explain function called"):
+            list(score_online(model, zip(t, Y.T)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(D=st.integers(2, 6), k_frac=st.floats(0.0, 1.0), T=st.integers(2, 40),
+       missing=st.floats(0.0, 0.4),
+       exprs=st.lists(st.sampled_from(COMPOSITE_KERNELS), min_size=3, max_size=3),
+       gated=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_random_masks_orthogonal_equals_joint(D, k_frac, T, missing, exprs, gated, seed):
+    K = 1 + int(k_frac * (min(D, 3) - 1))
+    t, Y, model = irregular_stream(D, exprs[:K], T, seed)
+    Y[np.random.default_rng([seed, 1]).random(Y.shape) < missing] = np.nan
+    kwargs = _score_kwargs(-6.0 if gated else None)
+    points = list(score_online(model, zip(t, Y.T), **kwargs))
+    joint = list(score_online(replace(model, mode="unconstrained"), zip(t, Y.T), **kwargs))
+    assert_points_close(points, joint, 1e-9)
 
 
 # One malformed field each: a string matrix, a non-number log entry, a
