@@ -396,7 +396,7 @@ def cmd_synth(cfg: dict) -> int:
     output = _require(cfg, "output", "--output")
     scenario, series = _generate(cfg)
     data_mod.write_csv(series, output)
-    windows = [] if series.labels is None else _label_runs(series.labels.astype(bool))
+    windows = [] if series.labels is None else zip(*_label_runs(series.labels.astype(bool)))
     _emit({
         "output": str(output),
         "scenario": scenario,
@@ -435,7 +435,8 @@ def cmd_pipeline(cfg: dict) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
 
     if cfg["input"] is not None:
-        cases = data_mod.load_benchmark_layout(cfg["input"], cfg["dataset_layout"])
+        cases = data_mod.load_benchmark_layout(cfg["input"], cfg["dataset_layout"],
+                                               cfg["train_fraction"])
         results = []
         for case in cases:
             log.info("pipeline case %s: train %d, test %d points",

@@ -503,7 +503,6 @@ class BenchmarkCase:
 
     train: LabeledSeries
     test: LabeledSeries
-    labels: np.ndarray | None
     name: str
 
 
@@ -518,36 +517,37 @@ def split_train_test(series: LabeledSeries, train_fraction: float = 0.2):
     return series.slice(0, n_train), series.slice(n_train, T)
 
 
-def _case_from_file(path: Path) -> BenchmarkCase:
-    series = load_csv(path)
-    train, test = split_train_test(series)
-    return BenchmarkCase(train, test, test.labels, path.stem)
+def _case_from_file(path: Path, train_fraction: float) -> BenchmarkCase:
+    train, test = split_train_test(load_csv(path), train_fraction)
+    return BenchmarkCase(train, test, path.stem)
 
 
-def load_benchmark_layout(root, dataset: str) -> list:
+def load_benchmark_layout(root, dataset: str, train_fraction: float = 0.2) -> list:
     """Load train/test cases from a dataset directory.
 
     ``csv``
         a single canonical CSV file (or a directory holding one or
-        more); each series is split 20/80 into train/test by index.
+        more); each series is split into train/test by index with
+        :func:`split_train_test` at ``train_fraction``.
     ``nab``
-        a directory tree of labeled CSV files, each split 20/80.
+        a directory tree of labeled CSV files, each split the same way.
     ``nasa`` / ``smd``
         ``root/train/*.csv`` (unlabeled) paired with
-        ``root/test/*.csv`` (labeled) by file name.
+        ``root/test/*.csv`` (labeled) by file name; these ship their
+        own train files, so ``train_fraction`` is ignored.
 
     Returns a list of :class:`BenchmarkCase`, sorted by name.
     """
     root = Path(root)
     if dataset in ("csv", "nab"):
         if root.is_file():
-            return [_case_from_file(root)]
+            return [_case_from_file(root, train_fraction)]
         if not root.is_dir():
             raise InputError(f"{root}: no such file or directory")
         files = sorted(root.rglob("*.csv"))
         if not files:
             raise InputError(f"{root}: no CSV files found")
-        return [_case_from_file(f) for f in files]
+        return [_case_from_file(f, train_fraction) for f in files]
     if dataset in ("nasa", "smd"):
         train_dir = root / "train"
         test_dir = root / "test"
@@ -562,7 +562,7 @@ def load_benchmark_layout(root, dataset: str) -> list:
             test = load_csv(test_path)
             if test.labels is None:
                 raise InputError(f"{test_path}: test file must carry an is_anomaly column")
-            cases.append(BenchmarkCase(train, test, test.labels, train_path.stem))
+            cases.append(BenchmarkCase(train, test, train_path.stem))
         if not cases:
             raise InputError(f"{train_dir}: no CSV files found")
         return cases

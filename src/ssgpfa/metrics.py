@@ -9,8 +9,9 @@ score > t (strictly). NaN scores never flag.
 
 The threshold sweep evaluates every distinct score value plus the two
 infinities, so the reported best F1 is exact, not grid-approximated.
-The sweep maintains running counts as points cross the moving
-threshold, so a full curve costs O(T log T) rather than O(T^2).
+Counts have a closed form at every threshold: a label run is detected
+below its highest score and a non-label point flags below its own, so
+a sort and a binary search give a full curve in O(T log T).
 """
 
 from __future__ import annotations
@@ -115,26 +116,36 @@ def _validate_scores_labels(scores, labels):
 
 
 def _label_runs(labels: np.ndarray):
-    """Contiguous runs of True as (start, stop) half-open pairs."""
-    padded = np.diff(np.concatenate(([0], labels.view(np.int8), [0])))
-    starts = np.nonzero(padded == 1)[0]
-    stops = np.nonzero(padded == -1)[0]
-    return list(zip(starts, stops))
+    """Contiguous runs of True as arrays of half-open starts and stops."""
+    edges = np.diff(np.concatenate(([0], labels.view(np.int8), [0])))
+    return np.nonzero(edges == 1)[0], np.nonzero(edges == -1)[0]
 
 
-def _adjust(preds: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    adjusted = preds.copy()
-    for start, stop in _label_runs(labels):
-        if adjusted[start:stop].any():
-            adjusted[start:stop] = True
-    return adjusted
+def _counts(scores: np.ndarray, labels: np.ndarray, thresholds: np.ndarray, adjust: bool):
+    """True, false and missed positives at every threshold at once.
+
+    A label run (each label point alone without ``adjust``) counts in
+    full at every threshold below its highest score, and a non-label
+    point flags below its own score. NaN counts as -inf: it never flags.
+    """
+    clean = np.where(np.isnan(scores), -np.inf, scores)
+    starts, stops = _label_runs(labels)
+    lengths = stops - starts if adjust else np.ones(np.count_nonzero(labels), dtype=int)
+    peaks = np.maximum.reduceat(clean[labels], np.cumsum(lengths) - lengths)
+    order = np.argsort(peaks)
+    covered = np.concatenate(([0], np.cumsum(lengths[order])))
+    tp = covered[-1] - covered[np.searchsorted(peaks[order], thresholds, side="right")]
+    negatives = np.sort(clean[~labels])
+    fp = negatives.size - np.searchsorted(negatives, thresholds, side="right")
+    return tp, fp, covered[-1] - tp
 
 
 def _report(tp: int, fp: int, fn: int, threshold: float | None = None) -> EvalReport:
+    tp, fp, fn = int(tp), int(fp), int(fn)
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2.0 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return EvalReport(precision, recall, f1, int(tp), int(fp), int(fn), threshold)
+    return EvalReport(precision, recall, f1, tp, fp, fn, threshold)
 
 
 def range_adjusted_metrics(scores, labels, threshold: float, *,
@@ -146,69 +157,28 @@ def range_adjusted_metrics(scores, labels, threshold: float, *,
     """
     scores, labels = _validate_scores_labels(scores, labels)
     threshold = float(threshold)
-    with np.errstate(invalid="ignore"):
-        preds = scores > threshold
-    if adjust:
-        preds = _adjust(preds, labels)
-    tp = int(np.sum(preds & labels))
-    fp = int(np.sum(preds & ~labels))
-    fn = int(np.sum(~preds & labels))
+    (tp,), (fp,), (fn,) = _counts(scores, labels, np.array([threshold]), adjust)
     return _report(tp, fp, fn, threshold)
+
+
+def _sweep(scores, labels, adjust: bool):
+    """Every meaningful threshold, descending, with its counts."""
+    scores, labels = _validate_scores_labels(scores, labels)
+    desc = np.sort(scores[np.isfinite(scores)], kind="stable")[::-1]
+    desc = np.concatenate(([math.inf], desc, [-math.inf]))
+    thresholds = desc[np.concatenate(([True], desc[1:] != desc[:-1]))]
+    return (thresholds, *_counts(scores, labels, thresholds, adjust))
 
 
 def sweep_curve(scores, labels, *, adjust: bool = True) -> list[EvalReport]:
     """Evaluate every meaningful threshold, descending.
 
     Candidates are +inf, every distinct finite score, and -inf; the
-    first report flags nothing and the last flags every point with a
-    non-NaN score. Counts are maintained incrementally as points cross
-    the threshold.
+    first report flags nothing and the last flags every point scored
+    above -inf. Counts take the closed form of ``_counts``.
     """
-    scores, labels = _validate_scores_labels(scores, labels)
-    runs = _label_runs(labels)
-    run_id = np.full(scores.size, -1)
-    run_len = []
-    for rid, (start, stop) in enumerate(runs):
-        run_id[start:stop] = rid
-        run_len.append(stop - start)
-    n_label_points = int(labels.sum())
-
-    finite = np.isfinite(scores)
-    order = np.argsort(scores[finite], kind="stable")[::-1]
-    idx_desc = np.nonzero(finite)[0][order]
-    sorted_scores = scores[idx_desc]
-
-    if not adjust:
-        run_id = np.where(labels, np.arange(scores.size), -1)
-        run_len = [1] * scores.size
-
-    reports = []
-    tp = 0
-    fp = 0
-    run_hits = [0] * len(run_len)
-    reports.append(_report(0, 0, n_label_points, math.inf))
-
-    pos = 0
-    n_sorted = len(idx_desc)
-    while pos < n_sorted:
-        s = sorted_scores[pos]
-        # absorb every point with this exact score, then report the
-        # threshold equal to it: flagged = strictly greater only, so the
-        # report uses the state from before this group
-        group_start = pos
-        while pos < n_sorted and sorted_scores[pos] == s:
-            pos += 1
-        reports.append(_report(tp, fp, n_label_points - tp, float(s)))
-        for j in idx_desc[group_start:pos]:
-            rid = run_id[j]
-            if rid >= 0:
-                if run_hits[rid] == 0:
-                    tp += run_len[rid]
-                run_hits[rid] += 1
-            else:
-                fp += 1
-    reports.append(_report(tp, fp, n_label_points - tp, -math.inf))
-    return reports
+    thresholds, tp, fp, fn = _sweep(scores, labels, adjust)
+    return list(map(_report, tp.tolist(), fp.tolist(), fn.tolist(), thresholds.tolist()))
 
 
 def best_f1_sweep(scores, labels, *, adjust: bool = True) -> EvalReport:
@@ -216,9 +186,10 @@ def best_f1_sweep(scores, labels, *, adjust: bool = True) -> EvalReport:
 
     Ties prefer higher precision, then the lower threshold.
     """
-    best = None
-    for report in sweep_curve(scores, labels, adjust=adjust):
-        if best is None or report.f1 > best.f1 \
-                or (report.f1 == best.f1 and report.precision >= best.precision):
-            best = report
-    return best
+    thresholds, tp, fp, fn = _sweep(scores, labels, adjust)
+    precision = np.divide(tp, tp + fp, out=np.zeros(tp.size), where=tp + fp > 0)
+    recall = tp / (tp + fn)
+    f1 = np.divide(2.0 * precision * recall, precision + recall, out=np.zeros(tp.size),
+                   where=precision + recall > 0)
+    i = np.lexsort((np.arange(tp.size), precision, f1))[-1]
+    return _report(tp[i], fp[i], fn[i], float(thresholds[i]))

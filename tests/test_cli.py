@@ -513,6 +513,22 @@ class TestPipeline:
             code, _, _ = run(capsys, *base, "--config", str(config))
             assert code == 2
             assert "train_fraction" in caplog.text
+        # an --input case is split at the same key
+        series = gen_univariate(150, seed=6)
+        labels = np.zeros(150, dtype=np.int8)
+        labels[100:103] = 1
+        write_csv(LabeledSeries(series.timestamps, series.values, labels=labels),
+                  tmp_path / "case.csv")
+        base = ("pipeline", "--input", str(tmp_path / "case.csv"), "--dataset-layout", "csv",
+                "--max-iters", "2")
+        config.write_text(json.dumps({"train_fraction": 0.5}))
+        case = run_json(capsys, *base, "--config", str(config))["cases"][0]
+        assert (case["n_train"], case["n_test"]) == (75, 75)
+        config.write_text(json.dumps({"train_fraction": 1.5}))
+        caplog.clear()
+        code, _, _ = run(capsys, *base, "--config", str(config))
+        assert code == 2
+        assert "train_fraction" in caplog.text
 
     def test_scenario_and_input_exclusive(self, tmp_path, capsys, caplog):
         code, _, _ = run(capsys, "pipeline", "--scenario", "robust",

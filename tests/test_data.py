@@ -347,7 +347,6 @@ class TestLayouts:
         assert isinstance(case, BenchmarkCase)
         assert case.name == "series"
         assert case.train.length == 20 and case.test.length == 80
-        np.testing.assert_array_equal(case.labels, case.test.labels)
 
     def test_nab_directory_tree(self, tmp_path):
         (tmp_path / "sub").mkdir()
@@ -364,7 +363,6 @@ class TestLayouts:
         cases = load_benchmark_layout(tmp_path, "nasa")
         assert len(cases) == 1
         assert cases[0].train.labels is None
-        assert cases[0].labels is not None
 
     def test_nasa_missing_pair(self, tmp_path):
         (tmp_path / "train").mkdir()

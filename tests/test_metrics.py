@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ssgpfa import (
@@ -123,15 +123,42 @@ class TestRangeAdjusted:
             range_adjusted_metrics(np.zeros(3), np.array([0, 1]), threshold=0.5)
 
 
-def brute_force_best(scores, labels, adjust=True):
-    """O(T^2) reference: evaluate every threshold-induced flag vector."""
-    candidates = [math.inf, -math.inf] + [float(s) for s in scores
-                                          if math.isfinite(s)]
+def reference_report(scores, labels, threshold, adjust=True):
+    """Flag-vector reference: flag scores strictly above the threshold,
+    expand each label run that holds a flag with a plain loop, count."""
+    labels = np.asarray(labels).astype(bool)
+    with np.errstate(invalid="ignore"):
+        flags = np.asarray(scores, dtype=float) > threshold  # NaN never flags
+    if adjust:
+        i = 0
+        while i < len(labels):
+            j = i  # labels[i:j] is the run starting at i, empty off a run
+            while j < len(labels) and labels[j]:
+                j += 1
+            if flags[i:j].any():
+                flags[i:j] = True
+            i = max(j, i + 1)
+    tp = int(np.sum(flags & labels))
+    fp = int(np.sum(flags & ~labels))
+    fn = int(np.sum(~flags & labels))
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    f1 = 2.0 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return EvalReport(precision, recall, f1, tp, fp, fn, float(threshold))
+
+
+def reference_curve(scores, labels, adjust=True):
+    """O(T^2) reference: one flag vector per candidate threshold, descending."""
+    candidates = [math.inf] + sorted(
+        {float(s) for s in scores if math.isfinite(s)}, reverse=True) + [-math.inf]
+    return [reference_report(scores, labels, th, adjust) for th in candidates]
+
+
+def reference_best(scores, labels, adjust=True):
+    """Highest F1, then higher precision, then the lower threshold."""
     best = None
-    for th in candidates:
-        rep = range_adjusted_metrics(scores, labels, threshold=th, adjust=adjust)
-        key = (rep.f1, rep.precision)
-        if best is None or key > (best.f1, best.precision):
+    for rep in reference_curve(scores, labels, adjust):
+        if best is None or (rep.f1, rep.precision) >= (best.f1, best.precision):
             best = rep
     return best
 
@@ -152,9 +179,7 @@ class TestSweep:
         labels = (rng.random(40) < 0.3).astype(int)
         labels[3] = 1
         for rep in sweep_curve(scores, labels):
-            direct = range_adjusted_metrics(scores, labels, threshold=rep.threshold)
-            assert (rep.true_positives, rep.false_positives, rep.false_negatives) == (
-                direct.true_positives, direct.false_positives, direct.false_negatives)
+            assert rep == reference_report(scores, labels, rep.threshold)
 
     def test_best_matches_brute_force(self):
         rng = np.random.default_rng(6)
@@ -165,7 +190,7 @@ class TestSweep:
             if labels.sum() == 0:
                 labels[int(rng.integers(T))] = 1
             got = best_f1_sweep(scores, labels)
-            want = brute_force_best(scores, labels)
+            want = reference_best(scores, labels)
             assert got.f1 == pytest.approx(want.f1, abs=1e-12), (scores, labels)
             assert got.precision == pytest.approx(want.precision, abs=1e-12)
 
@@ -174,7 +199,7 @@ class TestSweep:
         scores = np.array([3.0, 2.0, 1.0])
         labels = np.array([1, 0, 1])
         best = best_f1_sweep(scores, labels)
-        direct = brute_force_best(scores, labels)
+        direct = reference_best(scores, labels)
         assert best.precision == direct.precision
         assert best.f1 == direct.f1
 
@@ -189,8 +214,19 @@ class TestSweep:
         scores = np.array([np.nan, 2.0, np.nan, 0.5])
         labels = np.array([0, 1, 1, 0])
         best = best_f1_sweep(scores, labels)
-        want = brute_force_best(scores, labels)
+        want = reference_best(scores, labels)
         assert best.f1 == pytest.approx(want.f1)
+
+    def test_positive_infinite_score_flags_below_inf(self):
+        # an infinite score flags at every finite threshold, in the sweep
+        # as at a fixed threshold
+        scores = np.array([math.inf, 0.5])
+        labels = np.array([1, 0])
+        best = best_f1_sweep(scores, labels)
+        assert best.f1 == 1.0 and best.threshold == 0.5
+        assert best == range_adjusted_metrics(scores, labels, threshold=0.5)
+        last = sweep_curve(scores, labels)[-1]
+        assert (last.true_positives, last.false_positives) == (1, 1)
 
 
 @st.composite
@@ -211,7 +247,7 @@ def scored_series(draw):
 def test_property_sweep_best_is_exact(case):
     scores, labels = case
     assert best_f1_sweep(scores, labels).f1 == pytest.approx(
-        brute_force_best(scores, labels).f1, abs=1e-12)
+        reference_best(scores, labels).f1, abs=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -238,5 +274,36 @@ def test_property_monotone_transform_invariance(case):
 def test_property_sweep_dominates_any_fixed_threshold(case, threshold):
     scores, labels = case
     best = best_f1_sweep(scores, labels)
-    fixed = range_adjusted_metrics(scores, labels, threshold=threshold)
+    fixed = reference_report(scores, labels, threshold)
     assert best.f1 >= fixed.f1 - 1e-12
+
+
+@st.composite
+def awkward_series(draw):
+    """Series with ties, NaN and infinite scores, sometimes all labels."""
+    T = draw(st.integers(1, 25))
+    score = st.one_of(
+        st.sampled_from([0.0, 0.5, 1.0, math.nan, math.inf, -math.inf]),
+        st.floats(-3, 3, allow_nan=False).map(lambda x: round(x, 1)))
+    scores = draw(st.lists(score, min_size=T, max_size=T))
+    if draw(st.booleans()):
+        labels = [1] * T
+    else:
+        labels = draw(st.lists(st.integers(0, 1), min_size=T, max_size=T))
+        labels[draw(st.integers(0, T - 1))] = 1
+    return np.array(scores), np.array(labels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(awkward_series(), st.booleans(), st.floats(-4, 4, allow_nan=False))
+@example((np.array([math.inf, 0.5, math.nan, 0.5, -math.inf]), np.array([1, 0, 1, 1, 0])),
+         False, 0.5)
+@example((np.array([math.nan, -math.inf, math.inf, 1.0]), np.ones(4, dtype=int)), True, 1.0)
+def test_property_every_report_matches_reference(case, adjust, threshold):
+    scores, labels = case
+    curve = sweep_curve(scores, labels, adjust=adjust)
+    assert curve == reference_curve(scores, labels, adjust)
+    assert best_f1_sweep(scores, labels, adjust=adjust) == reference_best(scores, labels, adjust)
+    for th in (threshold, *(rep.threshold for rep in curve)):
+        assert range_adjusted_metrics(scores, labels, th, adjust=adjust) == \
+            reference_report(scores, labels, th, adjust)
