@@ -608,6 +608,89 @@ def _scored_points(model: SsgpfaModel, readout: np.ndarray, steps) -> Iterator[S
 
 # --- univariate hyperparameter fitting ------------------------------------
 
+_LBFGS_PAIRS = 10
+_MAX_LOG_STEP = 3.0  # no log-parameter moves by more than this (a factor e^3) per step
+_MAX_TRIALS = 20  # objective evaluations per line search
+# A near-exact line search (curvature 0.3, not the usual 0.9): max_outer caps
+# iterations, not evaluations, and the likelihood's ridges (variance against
+# lengthscale, noise towards zero) reward each iteration landing near the
+# minimum along its direction.
+_ARMIJO, _CURVATURE = 1e-4, 0.3
+_GTOL, _FTOL = 1e-8, 1e-12
+
+
+def _minimize(fun: Callable, x0: np.ndarray, max_iter: int):
+    """Minimize ``fun(x) -> (f, gradient)`` by L-BFGS, for at most ``max_iter`` iterations.
+
+    The search direction comes from the two-loop recursion over the last
+    ``_LBFGS_PAIRS`` steps and gradient changes (Nocedal & Wright,
+    *Numerical Optimization*, 2006, Alg. 7.4-7.5); without pairs it is
+    steepest descent with a first step of unit length. The step length is
+    bisected until it meets the Armijo condition and the strong curvature
+    condition: a trial that fails the Armijo condition, or where f already
+    rises along the direction, is too long, and one where f still falls
+    steeply is too short. No coordinate moves by more than
+    ``_MAX_LOG_STEP``. A trial that does not decrease f, including one that
+    scores a failure value such as 1e12 or NaN, is backtracked from and
+    never accepted; when no trial meets both conditions, the step is the
+    last one that met the Armijo condition.
+
+    Stops when no gradient entry exceeds ``_GTOL`` (``"gradient"``), when an
+    iteration lowers f by at most ``_FTOL`` relative (``"converged"``), when
+    no trial decreases f (``"no decrease"``), or after ``max_iter``
+    iterations (``"max_iter"``). Returns ``(x, f, nit, nfev, reason)``: the
+    last accepted point and its value, the iterations and objective
+    evaluations made, and why it stopped.
+    """
+    x = np.array(x0, dtype=float)
+    f, g = fun(x)
+    nfev, pairs = 1, []
+    for nit in range(max_iter):
+        if np.abs(g).max() <= _GTOL:
+            return x, f, nit, nfev, "gradient"
+        # two-loop recursion: d = -H g, with H0 scaled by the newest pair
+        d, alphas = -g, []
+        for s, y, rho in reversed(pairs):
+            alphas.append(rho * (s @ d))
+            d = d - alphas[-1] * y
+        if pairs:
+            s, y, rho = pairs[-1]
+            d = d / (rho * (y @ y))
+        for (s, y, rho), a in zip(pairs, reversed(alphas)):
+            d = d + (a - rho * (y @ d)) * s
+        slope = g @ d
+        if not slope < 0.0:  # round-off in the pairs; restart from steepest descent
+            pairs, d, slope = [], -g, -(g @ g)
+        longest = _MAX_LOG_STEP / np.abs(d).max()
+        step = min(1.0 if pairs else 1.0 / math.sqrt(-slope), longest)
+        lo, hi, found = 0.0, math.inf, None
+        for _ in range(_MAX_TRIALS):
+            f_new, g_new = fun(x + step * d)
+            nfev += 1
+            if not f_new < f + _ARMIJO * step * slope:
+                hi = step
+            else:
+                found = step, f_new, g_new
+                slope_new = g_new @ d
+                if abs(slope_new) <= -_CURVATURE * slope or step >= longest:
+                    break
+                if slope_new > 0.0:
+                    hi = step
+                else:
+                    lo = step
+            step = 0.5 * (lo + hi) if hi < math.inf else min(2.0 * step, longest)
+        if found is None:
+            return x, f, nit, nfev, "no decrease"
+        step, f_new, g_new = found
+        s, y = step * d, g_new - g
+        if s @ y > np.finfo(float).eps * (y @ y):
+            pairs = [*pairs[1 - _LBFGS_PAIRS:], (s, y, 1.0 / (s @ y))]
+        converged = f - f_new <= _FTOL * abs(f)
+        x, f, g = x + s, f_new, g_new
+        if converged:
+            return x, f, nit + 1, nfev, "converged"
+    return x, f, max_iter, nfev, "max_iter"
+
 
 def fit_univariate(y: np.ndarray, timestamps,
                    kernel_expression: str | StateSpaceKernel = DEFAULT_UNIVARIATE_KERNEL, *,
@@ -618,14 +701,16 @@ def fit_univariate(y: np.ndarray, timestamps,
     A string is read once with :func:`parse_kernel`. Hyperparameters
     (every parameter of every base kernel in the tree, including
     arguments an expression leaves at their defaults, plus the
-    observation-noise variance) are optimized in log space with
-    L-BFGS-B on the exact gradient of the filter likelihood
-    (:func:`~ssgpfa.kalman.log_likelihood_gradient`), capped at
-    ``max_outer`` iterations. A trial point where the filter fails
-    scores 1e12 with a zero gradient. The best parameters seen are
-    kept, so the result is never worse than the starting point; the
-    given kernel and noise variance are returned unchanged when nothing
-    beats them, as with ``optimize=False``.
+    observation-noise variance) are optimized in log space by the
+    package's own L-BFGS (:func:`_minimize`) on the exact gradient of the
+    filter likelihood (:func:`~ssgpfa.kalman.log_likelihood_gradient`),
+    capped at ``max_outer`` iterations. A trial point where the filter
+    fails scores 1e12 with a zero gradient and is never stepped to. The
+    best parameters seen are kept, so the result is never worse than the
+    starting point; the given kernel and noise variance are returned
+    unchanged when nothing beats them, as with ``optimize=False``. The
+    optimizer's iterations, objective evaluations and stop reason go to
+    the ``ssgpfa`` logger at DEBUG level.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     T = y.shape[0]
@@ -663,9 +748,12 @@ def fit_univariate(y: np.ndarray, timestamps,
     if optimize and not math.isfinite(best["f"]):
         raise NumericalError("initial hyperparameters give a non-finite likelihood")
     if optimize:
-        from scipy.optimize import minimize
+        import logging  # here, so that scoring and EM never load it
 
-        minimize(objective, theta0, jac=True, method="L-BFGS-B", options={"maxiter": max_outer})
+        _, _, nit, nfev, reason = _minimize(objective, theta0, max_outer)
+        logging.getLogger("ssgpfa").debug(
+            "fit_univariate: L-BFGS stopped (%s) after %d iterations, %d objective evaluations",
+            reason, nit, nfev)
     return SsgpfaModel(
         kernels=(best["kernel"],),
         loading=np.array([[1.0]]),

@@ -571,13 +571,26 @@ class TestParser:
         assert exc.value.code == 2
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is needed only to optimize univariate hyperparameters, and
-    # fit_univariate imports it when it does.
+def test_cli_import_loads_no_scipy(univariate_csv, tmp_path):
+    # The package needs no scipy: not to import the CLI, nor to fit a
+    # univariate series in the library or through `ssgpfa train`.
     src = str(Path(cli.__file__).resolve().parent.parent)
-    code = ("import sys, ssgpfa.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    code = "\n".join([
+        "import sys, ssgpfa.cli",
+        "from ssgpfa import train_series",
+        "from ssgpfa.data import gen_univariate",
+        "def scipy_modules():",
+        "    print('scipy:', sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        "scipy_modules()",
+        "train_series(gen_univariate(60, seed=2))",
+        "scipy_modules()",
+        "assert ssgpfa.cli.main(sys.argv[1:]) == 0",
+        "scipy_modules()",
+    ])
+    argv = ["train", "--input", str(univariate_csv), "--model", str(tmp_path / "m.json")]
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert [line for line in proc.stdout.splitlines() if line.startswith("scipy:")] \
+        == ["scipy: []"] * 3
+    assert (tmp_path / "m.json").exists()

@@ -27,7 +27,7 @@ def test_kernel_algebra_demo_runs():
 
 
 def test_robust_univariate_demo_runs():
-    # L-BFGS-B fit, then gated scoring: the spike, the whole burst and the
+    # L-BFGS fit, then gated scoring: the spike, the whole burst and the
     # first points of the level shift are refused.
     assert ("robust gate skipped 7 points: [75, 150, 151, 152, 225, 226, 227]\n"
             in run_demo("robust_univariate.py"))

@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import warnings
 from dataclasses import replace
@@ -42,8 +43,11 @@ from ssgpfa import (
     univariate_observation_model,
 )
 from ssgpfa import explain
-from ssgpfa.data import LabeledSeries, gen_multivariate, SyntheticSpec
-from ssgpfa.kalman import _filter_steps
+from ssgpfa.data import LabeledSeries, gen_multivariate, gen_univariate, SyntheticSpec
+from ssgpfa.kalman import _filter_steps, log_likelihood_gradient
+from ssgpfa.kernels import _leaf_values, _rebuild
+from ssgpfa.metrics import standardize
+from ssgpfa.model import _MAX_TRIALS, _minimize
 from test_kalman import brownian_matern_gram
 
 
@@ -869,6 +873,64 @@ class TestSerialization:
             load_model(bad)
 
 
+def noisy_sine():
+    rng = np.random.default_rng(32)
+    t = np.arange(80.0)
+    return t, np.sin(0.25 * t) + 0.1 * rng.standard_normal(80)
+
+
+def noisy_cosine():
+    rng = np.random.default_rng(33)
+    t = np.arange(60.0)
+    return t, np.cos(2 * np.pi * t / 12.0) + 0.05 * rng.standard_normal(60)
+
+
+def uni_stream_prefix():
+    """The benchmark's ``uni_stream`` training prefix, standardized as
+    :func:`train_series` does."""
+    series = gen_univariate(100, 0)
+    scaled, _, _ = standardize(series.values)
+    return series.timestamps, scaled[0]
+
+
+PRODUCT_KERNEL = "matern32(lengthscale=10.0) * cosine(period=11.0)"
+
+# Every optimized fit below: data, kernel and fit_univariate arguments.
+FIT_CASES = {
+    "uni_stream": (uni_stream_prefix, DEFAULT_UNIVARIATE_KERNEL, {}),
+    "sine": (noisy_sine, "matern32(lengthscale=2.0, variance=1.0)",
+             {"noise_variance": 0.5, "max_outer": 10}),
+    "product_6": (noisy_cosine, PRODUCT_KERNEL, {"max_outer": 6}),
+    "product": (noisy_cosine, PRODUCT_KERNEL, {}),
+    "matern": (noisy_cosine, "matern32(variance=2.0, lengthscale=4.0)", {}),
+}
+
+
+def lbfgsb_log_likelihood(t, y, expr, noise_variance=0.1, max_outer=20):
+    """Best filter log-likelihood that scipy's L-BFGS-B meets from the same
+    log-parameters, on fit_univariate's objective and iteration cap."""
+    start = parse_kernel(expr)
+    best = [-math.inf]
+
+    def objective(theta):
+        params = np.exp(theta)
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                ll, grad = log_likelihood_gradient(
+                    t, y, _rebuild(start, iter(params[:-1])), float(params[-1]))
+        except (ConfigError, ParameterError, NumericalError, FloatingPointError):
+            return 1e12, np.zeros_like(theta)
+        if not (math.isfinite(ll) and np.isfinite(grad).all()):
+            return 1e12, np.zeros_like(theta)
+        best[0] = max(best[0], ll)
+        return -ll, -grad
+
+    theta0 = np.log(np.append(_leaf_values(start), noise_variance))
+    scipy.optimize.minimize(objective, theta0, jac=True, method="L-BFGS-B",
+                            options={"maxiter": max_outer})
+    return best[0]
+
+
 class TestFitUnivariate:
     def test_optimize_false_keeps_expression(self):
         t = np.arange(30.0)
@@ -895,23 +957,43 @@ class TestFitUnivariate:
         assert model.training_log == ()
 
     def test_optimized_never_worse_than_start(self):
-        rng = np.random.default_rng(32)
-        t = np.arange(80.0)
-        y = np.sin(0.25 * t) + 0.1 * rng.standard_normal(80)
+        t, y = noisy_sine()
         expr = "matern32(lengthscale=2.0, variance=1.0)"
         base = fit_univariate(y, t, expr, noise_variance=0.5, optimize=False)
         tuned = fit_univariate(y, t, expr, noise_variance=0.5, max_outer=10)
         assert tuned.training_log[-1] >= base.training_log[-1] - 1e-9
 
     def test_composite_expression_optimized(self):
-        rng = np.random.default_rng(33)
-        t = np.arange(60.0)
-        y = np.cos(2 * np.pi * t / 12.0) + 0.05 * rng.standard_normal(60)
-        model = fit_univariate(
-            y, t, "matern32(lengthscale=10.0) * cosine(period=11.0)",
-            max_outer=6)
+        t, y = noisy_cosine()
+        model = fit_univariate(y, t, PRODUCT_KERNEL, max_outer=6)
         assert "*" in model.kernels[0].expression  # still a product kernel
         assert math.isfinite(model.training_log[-1])
+
+    def test_wild_trial_step_does_not_stall_the_fit(self):
+        # L-BFGS-B stopped here at log-likelihood 30.64: its fourth trial
+        # jumped to log-lengthscale 30 and log-noise -41, and its line search
+        # gave up. Capped steps go on to the ridge near 90.65.
+        t, y = noisy_cosine()
+        assert fit_univariate(y, t, PRODUCT_KERNEL).training_log[-1] >= 90.0
+
+    @pytest.mark.parametrize("case", sorted(FIT_CASES))
+    def test_never_worse_than_scipy_lbfgsb(self, case):
+        data, expr, kwargs = FIT_CASES[case]
+        t, y = data()
+        fitted = fit_univariate(y, t, expr, **kwargs).training_log[-1]
+        reference = lbfgsb_log_likelihood(t, y, expr, **kwargs)
+        assert fitted >= reference - 1e-9 * abs(reference)
+
+    def test_logs_optimizer_outcome_at_debug(self, caplog):
+        t, y = noisy_sine()
+        expr = "matern32(lengthscale=2.0, variance=1.0)"
+        with caplog.at_level(logging.DEBUG, logger="ssgpfa"):
+            fit_univariate(y, t, expr, optimize=False)
+            assert caplog.records == []
+            fit_univariate(y, t, expr, noise_variance=0.5, max_outer=3)
+        [record] = caplog.records
+        assert (record.name, record.levelno) == ("ssgpfa", logging.DEBUG)
+        assert "stopped (max_iter) after 3 iterations" in record.getMessage()
 
     def test_rejects_what_parse_kernel_rejects(self):
         t = np.arange(20.0)
@@ -919,20 +1001,64 @@ class TestFitUnivariate:
             fit_univariate(np.sin(t), t, "matern32(lengthscale=True)", optimize=False)
 
     @pytest.mark.parametrize("expr", [
-        "matern32(lengthscale=10.0) * cosine(period=11.0)",
+        PRODUCT_KERNEL,
         "matern32(variance=2.0, lengthscale=4.0)",
     ])
     def test_string_fits_like_parsed_kernel(self, expr):
         # Defaults left out of a string and argument order must not change
         # which parameters move or in what order.
-        rng = np.random.default_rng(33)
-        t = np.arange(60.0)
-        y = np.cos(2 * np.pi * t / 12.0) + 0.05 * rng.standard_normal(60)
+        t, y = noisy_cosine()
         a = fit_univariate(y, t, expr)
         b = fit_univariate(y, t, parse_kernel(expr))
         assert a.kernels[0].expression == b.kernels[0].expression
         assert a.noise.tobytes() == b.noise.tobytes()
         assert a.training_log == b.training_log
+
+
+def rosenbrock(x):
+    a, b = x
+    return ((1.0 - a) ** 2 + 100.0 * (b - a * a) ** 2,
+            np.array([-2.0 * (1.0 - a) - 400.0 * a * (b - a * a), 200.0 * (b - a * a)]))
+
+
+class TestMinimize:
+    def test_convex_quadratic(self):
+        A = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.0], [0.5, 0.0, 2.0]])
+        c = np.array([1.0, -2.0, 0.5])
+        x, f, nit, nfev, reason = _minimize(lambda x: (0.5 * (x - c) @ A @ (x - c), A @ (x - c)),
+                                            np.zeros(3), 100)
+        np.testing.assert_allclose(x, c, atol=1e-6)
+        assert reason == "gradient" and nit < 100 and nfev > nit
+
+    def test_rosenbrock(self):
+        x, f, nit, nfev, reason = _minimize(rosenbrock, np.array([-1.2, 1.0]), 200)
+        np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-6)
+        assert f < 1e-12 and reason in ("gradient", "converged") and nit < 200
+
+    def test_never_accepts_a_failure_value(self):
+        # The bowl's centre (3, 3) lies where the objective fails, so the
+        # line searches step into failures; a run cut after each iteration
+        # returns that iteration's accepted point.
+        def fenced(x):
+            if x[0] > 2.0:
+                return 1e12, np.zeros_like(x)
+            return float(((x - 3.0) ** 2).sum()), 2.0 * (x - 3.0)
+
+        for max_iter in range(1, 8):
+            x, f, nit, nfev, reason = _minimize(fenced, np.zeros(2), max_iter)
+            assert x[0] <= 2.0 and f == fenced(x)[0] < 18.0
+
+    def test_max_iter_caps_iterations(self):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return rosenbrock(x)
+
+        x, f, nit, nfev, reason = _minimize(counted, np.array([-1.2, 1.0]), 3)
+        assert (nit, reason, nfev) == (3, "max_iter", len(calls))
+        assert nfev <= 1 + 3 * _MAX_TRIALS
+        assert f < rosenbrock(np.array([-1.2, 1.0]))[0]
 
 
 class TestTrainSeries:
